@@ -11,7 +11,6 @@ not by the model.
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
 from typing import Optional
 
@@ -28,6 +27,7 @@ from .lattice import (
     substitute,
     top,
 )
+from .search import Search
 
 
 class AIA:
@@ -38,6 +38,14 @@ class AIA:
     convention that an undrawn input is underspecified and an undrawn
     output is forbidden.  The stored table is total.  Instances are
     immutable and all operations on them are pure.
+
+    The one piece of internal state is the step memo, a plain dict from
+    ``(configuration, label)`` to the successor configuration, filled by
+    :meth:`step`.  Every search over the same automaton (determinization,
+    tester, refinement, membership) then computes each step once, and the
+    memo is freed with the automaton.  It is a cache of a pure function,
+    like the lattice intern table: a race between threads can at worst
+    compute a successor twice, and both results are equal.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="aia"):
@@ -86,6 +94,7 @@ class AIA:
         self._by_label = {
             l: {q: table[q][l] for q in self.states} for l in self.inputs | self.outputs
         }
+        self._steps: dict[tuple[Config, str], Config] = {}
 
     @property
     def labels(self) -> frozenset[str]:
@@ -93,10 +102,14 @@ class AIA:
 
     def step(self, e: Config, label_name: str) -> Config:
         """One-step successor configuration of ``e`` under a label name."""
-        mapping = self._by_label.get(label_name)
-        if mapping is None:
-            raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
-        return substitute(e, mapping)
+        key = (e, label_name)
+        succ = self._steps.get(key)
+        if succ is None:
+            mapping = self._by_label.get(label_name)
+            if mapping is None:
+                raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
+            succ = self._steps[key] = substitute(e, mapping)
+        return succ
 
     def __eq__(self, other):
         if not isinstance(other, AIA):
@@ -280,34 +293,25 @@ def induce_ia(s: AIA) -> IA:
     rather than by an edge, so only reachable clauses are materialized.
     """
     init = dnf(s.initial)
-    names: dict[frozenset, str] = {}
-    order = sorted(init, key=sorted)
-    queue = deque(order)
+    search = Search(sorted(init, key=sorted))
     trans: dict[str, dict[str, set[str]]] = {}
     labels = sorted(s.inputs) + sorted(s.outputs)
-    while queue:
-        clause = queue.popleft()
-        if clause in names:
-            continue
-        names[clause] = _clause_name(clause)
+    for _, clause in search:
         row: dict[str, set[str]] = {}
         for label in labels:
-            target = meet_all(s.transitions[q][label] for q in clause)
-            succs = dnf(target)
+            succs = dnf(meet_all(s.transitions[q][label] for q in clause))
             if label in s.inputs:
                 succs = succs - {frozenset()}
             if succs:
-                row[label] = set()
-                for c2 in sorted(succs, key=sorted):
-                    row[label].add(_clause_name(c2))
-                    if c2 not in names:
-                        queue.append(c2)
-        trans[names[clause]] = row
+                row[label] = {_clause_name(c) for c in succs}
+                for c in sorted(succs, key=sorted):
+                    search.push(c)
+        trans[_clause_name(clause)] = row
     return IA(
-        set(names.values()),
+        set(trans),
         s.inputs,
         s.outputs,
         trans,
-        {names[c] for c in init},
+        {_clause_name(c) for c in init},
         name=f"ia({s.name})",
     )

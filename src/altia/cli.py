@@ -19,7 +19,7 @@ from .ia import IA
 from .io import format_trace, load_model, parse_trace, print_model, save_model, to_dot
 
 
-def _as_aia(m, cap):
+def _as_aia(m):
     return m if isinstance(m, AIA) else induce_aia(m)
 
 
@@ -67,7 +67,7 @@ def _cmd_member(args) -> int:
 
 def _cmd_det(args) -> int:
     m = load_model(args.file)
-    result = determinize.det(_as_aia(m, args.cap), cap=args.cap)
+    result = determinize.det(_as_aia(m), cap=args.cap)
     _emit(print_model(result), args.output)
     return 0
 
@@ -80,7 +80,7 @@ def _cmd_refine(args) -> int:
     elif isinstance(left, IA):
         res = refine.leq_ia_aia(left, right, cap=args.cap)
     else:
-        res = refine.leq_aia(_as_aia(left, args.cap), _as_aia(right, args.cap), cap=args.cap)
+        res = refine.leq_aia(_as_aia(left), _as_aia(right), cap=args.cap)
     if args.json:
         print(json.dumps({
             "verdict": "holds" if res.holds else "fails",
@@ -95,8 +95,8 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    m1 = _as_aia(load_model(args.left), args.cap)
-    m2 = _as_aia(load_model(args.right), args.cap)
+    m1 = _as_aia(load_model(args.left))
+    m2 = _as_aia(load_model(args.right))
     op = conj if args.conj else disj
     _emit(print_model(op(m1, m2)), args.output)
     return 0
@@ -119,14 +119,14 @@ def _cmd_to_aia(args) -> int:
 
 
 def _cmd_tester(args) -> int:
-    m = _as_aia(load_model(args.spec), args.cap)
+    m = _as_aia(load_model(args.spec))
     t = testing.build_tester(m, cap=args.cap)
     _emit(print_model(t.ia), args.output)
     return 0
 
 
 def _cmd_testgen(args) -> int:
-    spec = _as_aia(load_model(args.spec), args.cap)
+    spec = _as_aia(load_model(args.spec))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
@@ -199,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help):
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--cap", type=int, default=determinize.DEFAULT_CAP,
-                        help="exploration limit (default %(default)s)")
         return sp
 
     sp = add("check", _cmd_check, "validate a model file")
@@ -261,6 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("-o", "--output")
 
+    # Only the commands whose searches are bounded take a cap.
+    for name in ("det", "refine", "tester", "testgen"):
+        sub.choices[name].add_argument("--cap", type=int, default=determinize.DEFAULT_CAP,
+                                       help="exploration limit (default %(default)s)")
     return p
 
 

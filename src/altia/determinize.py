@@ -10,48 +10,16 @@ reaches.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .aia import AIA
-from .errors import ExplorationLimitError
 from .lattice import Config, Kind, bot, classify, embed, expr_str, top
-
-DEFAULT_CAP = 100_000
-
-
-def _reachable_configs(s: AIA, cap: int):
-    """Nontrivial configurations reachable from the initial one, with the
-    one-step successor table, in stable discovery order."""
-    labels = sorted(s.inputs) + sorted(s.outputs)
-    seen: dict[Config, dict[str, Config]] = {}
-    start = s.initial
-    if classify(start) in (Kind.TOP, Kind.BOT):
-        return seen
-    queue = deque([start])
-    while queue:
-        e = queue.popleft()
-        if e in seen:
-            continue
-        if len(seen) >= cap:
-            raise ExplorationLimitError(cap)
-        row = {}
-        for label in labels:
-            t = s.step(e, label)
-            row[label] = t
-            if classify(t) not in (Kind.TOP, Kind.BOT) and t not in seen:
-                queue.append(t)
-        seen[e] = row
-    return seen
+from .search import DEFAULT_CAP, reachable
 
 
 def check_deterministic(s: AIA, cap: int = DEFAULT_CAP) -> bool:
     """Whether every reachable configuration is top, bottom or one state."""
     if classify(s.initial) is Kind.COMPOUND:
         return False
-    for e in _reachable_configs(s, cap):
-        if classify(e) is Kind.COMPOUND:
-            return False
-    return True
+    return all(classify(e) is not Kind.COMPOUND for e in reachable(s, cap))
 
 
 def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
@@ -63,7 +31,7 @@ def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
     single states (or kept as top/bottom).  The result is always
     deterministic and has the same input-failure traces as ``s``.
     """
-    reach = _reachable_configs(s, cap)
+    reach = reachable(s, cap)
 
     def promote(e: Config) -> Config:
         k = classify(e)

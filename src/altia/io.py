@@ -114,11 +114,17 @@ def _tokenize_line(line: str, lineno: int) -> list[_Tok]:
     return toks
 
 
+# Each parenthesis costs the recursive parser three stack frames; past
+# this depth it refuses the expression rather than overflow the stack.
+MAX_NESTING = 200
+
+
 class _ExprParser:
     def __init__(self, toks: list[_Tok], pos: int, lineno: int):
         self.toks = toks
         self.pos = pos
         self.lineno = lineno
+        self.depth = 0
 
     def peek(self) -> Optional[_Tok]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -154,7 +160,12 @@ class _ExprParser:
     def factor(self) -> Config:
         t = self.take()
         if t.kind == "punct" and t.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                                 t.line, t.col)
+            self.depth += 1
             e = self.expr()
+            self.depth -= 1
             closing = self.take()
             if closing.kind != "punct" or closing.text != ")":
                 raise ParseError("expected ')'", closing.line, closing.col)

@@ -4,23 +4,23 @@ Refinement holds when every observation of the left model is also an
 observation of the right one.  Both sides are driven through their
 canonical configurations in lockstep: because configurations are
 canonical and only finitely many are reachable on each side, a breadth
-first search over configuration pairs decides trace-set inclusion
-exactly, and the first offending pair yields a shortest counterexample.
+first search over configuration pairs (one :class:`~altia.search.Search`)
+decides trace-set inclusion exactly, and the first offending pair yields
+a shortest counterexample.  Steps go through ``AIA.step``, whose memo is
+shared with every other search on the same automaton.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import aia as _aia
 from . import ia as _ia
 from .aia import AIA, induce_aia
-from .errors import AlphabetError, ExplorationLimitError
+from .errors import AlphabetError
 from .ia import IA, FTrace, Label
-
-DEFAULT_CAP = 100_000
+from .search import DEFAULT_CAP, Search
 
 
 @dataclass
@@ -39,75 +39,34 @@ class RefinementResult:
         return self.holds
 
 
-def _stepper(s: AIA):
-    memo = {}
-
-    def step(e, label):
-        key = (e, label)
-        hit = memo.get(key)
-        if hit is None:
-            hit = s.step(e, label)
-            memo[key] = hit
-        return hit
-
-    return step
-
-
 def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     """Decide whether every observation of ``s1`` is allowed by ``s2``."""
     _aia._require_same_alphabets(s1, s2)
-    step1, step2 = _stepper(s1), _stepper(s2)
     inputs = sorted(s1.inputs)
     labels = [Label(a, True) for a in inputs] + [Label(x, False) for x in sorted(s1.outputs)]
 
-    e1, e2 = s1.initial, s2.initial
-    if e1.is_bot:
+    if s1.initial.is_bot:
         return RefinementResult(True)
-    if e2.is_bot:
+    if s2.initial.is_bot:
         return RefinementResult(False, FTrace())
 
-    # Entries carry (pair, parent index, arriving label) so shortest
-    # counterexamples can be rebuilt without copying a trace per entry.
-    entries = [((e1, e2), -1, None)]
-    seen = {(e1, e2)}
-    queue = deque([0])
-
-    def trace_to(idx: int) -> tuple:
-        out = []
-        while idx >= 0:
-            pair, parent, lab = entries[idx]
-            if lab is not None:
-                out.append(lab)
-            idx = parent
-        return tuple(reversed(out))
-
-    explored = 0
-    while queue:
-        idx = queue.popleft()
-        (e1, e2), _, _ = entries[idx]
-        explored += 1
-        if explored > cap:
-            raise ExplorationLimitError(cap)
+    search = Search([(s1.initial, s2.initial)], cap)
+    for i, (e1, e2) in search:
         # A refusal the left side allows must be allowed on the right:
         # both sides must be underspecified on the same inputs here.
         for a in inputs:
-            if step1(e1, a).is_top and not step2(e2, a).is_top:
-                return RefinementResult(False, FTrace(trace_to(idx), a), explored)
+            if s1.step(e1, a).is_top and not s2.step(e2, a).is_top:
+                return RefinementResult(False, FTrace(search.path(i), a), i + 1)
         for lab in labels:
-            t1 = step1(e1, lab.name)
+            t1 = s1.step(e1, lab.name)
             if t1.is_bot:
                 continue
-            t2 = step2(e2, lab.name)
+            t2 = s2.step(e2, lab.name)
             if t2.is_bot:
-                return RefinementResult(False, FTrace(trace_to(idx) + (lab,)), explored)
-            if t1.is_top and t2.is_top:
-                continue
-            pair = (t1, t2)
-            if pair not in seen:
-                seen.add(pair)
-                entries.append((pair, idx, lab))
-                queue.append(len(entries) - 1)
-    return RefinementResult(True, None, explored)
+                return RefinementResult(False, FTrace(search.path(i) + (lab,)), i + 1)
+            if not (t1.is_top and t2.is_top):
+                search.push((t1, t2), i, lab)
+    return RefinementResult(True, None, len(search.nodes))
 
 
 def _localize(i: IA, cex: FTrace, right_member: Callable[[FTrace], bool]) -> FTrace:

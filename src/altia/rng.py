@@ -37,6 +37,3 @@ class SplitMix64:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next64() >> 11) * (1.0 / (1 << 53))
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

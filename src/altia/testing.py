@@ -18,19 +18,17 @@ never fail a correct implementation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import aia as _aia
 from . import ia as _ia
 from .aia import AIA, aia_bot, aia_top
-from .errors import AlphabetError, ExplorationLimitError, ModelError
+from .errors import AlphabetError, ModelError
 from .ia import IA, FTrace, Label, inp
 from .lattice import Config, Kind, bot, classify, embed, expr_str, top
 from .rng import SplitMix64
-
-DEFAULT_CAP = 100_000
+from .search import DEFAULT_CAP, Search, reachable
 
 PASS = "pass"
 FAIL = "fail"
@@ -132,14 +130,9 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
     for a in s.inputs:
         if is_refusal(a):
             raise ModelError(f"input {a!r} clashes with the refusal-label prefix")
-    stimuli = sorted(s.inputs)
-    observations = sorted(s.outputs)
-    t_inputs = set(s.outputs)
-    t_outputs = set(s.inputs) | {refusal(a) for a in s.inputs}
-
     trans: dict[str, dict[str, set[str]]] = {
-        PASS: {x: {PASS} for x in observations},
-        FAIL: {x: {FAIL} for x in observations},
+        PASS: {x: {PASS} for x in s.outputs},
+        FAIL: {x: {FAIL} for x in s.outputs},
     }
 
     def target(e: Config) -> str:
@@ -150,36 +143,19 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
             return FAIL
         return expr_str(e)
 
-    start = s.initial
-    init_name = target(start)
-    if classify(start) not in (Kind.TOP, Kind.BOT):
-        seen: set[Config] = set()
-        queue = deque([start])
-        while queue:
-            e = queue.popleft()
-            if e in seen:
-                continue
-            if len(seen) >= cap:
-                raise ExplorationLimitError(cap)
-            seen.add(e)
-            row: dict[str, set[str]] = {}
-            for x in observations:
-                nxt = s.step(e, x)
-                row[x] = {target(nxt)}
-                if classify(nxt) not in (Kind.TOP, Kind.BOT) and nxt not in seen:
-                    queue.append(nxt)
-            for a in stimuli:
-                nxt = s.step(e, a)
-                if nxt.is_top:
-                    continue  # underspecified input: do not test it
-                row[a] = {target(nxt)}
+    # The tester relabels the determinization table: observations follow
+    # the successor, a constrained stimulus also gets its refusal to fail.
+    for e, succ in reachable(s, cap).items():
+        row = {x: {target(succ[x])} for x in s.outputs}
+        for a in s.inputs:
+            if not succ[a].is_top:  # an underspecified input is not tested
+                row[a] = {target(succ[a])}
                 row[refusal(a)] = {FAIL}
-                if classify(nxt) not in (Kind.TOP, Kind.BOT) and nxt not in seen:
-                    queue.append(nxt)
-            trans[expr_str(e)] = row
-    states = set(trans)
+        trans[expr_str(e)] = row
+    t_outputs = set(s.inputs) | {refusal(a) for a in s.inputs}
     return Tester(
-        IA(states, t_inputs, t_outputs, trans, {init_name}, name=f"tester({s.name})")
+        IA(set(trans), s.outputs, t_outputs, trans, {target(s.initial)},
+           name=f"tester({s.name})")
     )
 
 
@@ -231,22 +207,16 @@ def execute_product(t: Tester, i: IA) -> Product:
     """Build the reachable test-execution product."""
     _check_compatible(t, i)
     start = [(t.initial, qi) for qi in sorted(i.initial)]
-    pairs: dict[str, tuple[str, str]] = {}
+    search = Search(start)
     trans: dict[str, dict[str, set[str]]] = {}
-    queue = deque(start)
-    while queue:
-        qt, qi = queue.popleft()
-        name = _pair_name(qt, qi)
-        if name in pairs:
-            continue
-        pairs[name] = (qt, qi)
+    for _, (qt, qi) in search:
         row: dict[str, set[str]] = {}
         for label, succs in _product_moves(t, i, qt, qi):
-            row[label] = set()
+            row[label] = {_pair_name(*nxt) for nxt in succs}
             for nxt in succs:
-                row[label].add(_pair_name(*nxt))
-                queue.append(nxt)
-        trans[name] = row
+                search.push(nxt)
+        trans[_pair_name(qt, qi)] = row
+    pairs = {_pair_name(*p): p for p in search.nodes}
     labels = i.inputs | {refusal(a) for a in i.inputs} | i.outputs
     product = IA(
         set(pairs),
@@ -276,7 +246,7 @@ class Verdict:
     note: Optional[str] = None
 
 
-def _labels_to_ftrace(labels: list[str], impl_inputs: frozenset[str]) -> FTrace:
+def _labels_to_ftrace(labels: Sequence[str], impl_inputs: frozenset[str]) -> FTrace:
     body = []
     for k, l in enumerate(labels):
         if is_refusal(l):
@@ -293,36 +263,15 @@ def verdict_exhaustive(t: Tester, i: IA) -> Verdict:
     Breadth-first, so a failing implementation gets a shortest witness.
     """
     _check_compatible(t, i)
-    entries = []  # (pair, parent index, arriving label)
-    seen = set()
-    queue = deque()
-    for qi in sorted(i.initial):
-        state = (t.initial, qi)
-        if state not in seen:
-            seen.add(state)
-            entries.append((state, -1, None))
-            queue.append(len(entries) - 1)
-    while queue:
-        idx = queue.popleft()
-        (qt, qi), _, _ = entries[idx]
+    search = Search((t.initial, qi) for qi in sorted(i.initial))
+    for idx, (qt, qi) in search:
         if qt == t.fail_state:
-            labels = []
-            j = idx
-            while j >= 0:
-                _, parent, lab = entries[j]
-                if lab is not None:
-                    labels.append(lab)
-                j = parent
-            labels.reverse()
-            return Verdict(False, _labels_to_ftrace(labels, i.inputs))
+            return Verdict(False, _labels_to_ftrace(search.path(idx), i.inputs))
         if qt == t.pass_state:
             continue
         for label, succs in _product_moves(t, i, qt, qi):
             for nxt in succs:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    entries.append((nxt, idx, label))
-                    queue.append(len(entries) - 1)
+                search.push(nxt, idx, label)
     return Verdict(True)
 
 

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import altia
 from altia.cli import main
 from altia.io import load_model
 
@@ -184,6 +187,11 @@ def test_input_error_exit_code(capsys, models_dir, tmp_path):
     bad.write_text("aia x\ninputs a\noutputs x\ninit q0\nq0 ?a -> F\n")
     code, _, err = run_cli(capsys, "check", bad)
     assert code == 2
+    deep = tmp_path / "deep.aia"  # nesting past the parser's bound, not a RecursionError
+    deep.write_text(f"aia deep\nstates q0\ninputs a\noutputs x\n"
+                    f"init {'(' * 5000}q0{')' * 5000}\nq0 !x -> q0\n")
+    code, _, err = run_cli(capsys, "check", deep)
+    assert code == 2 and err.startswith("error:") and "line 5" in err
     code, _, err = run_cli(
         capsys, "refine", models_dir / "widget.aia", models_dir / "machine.aia"
     )
@@ -193,6 +201,24 @@ def test_input_error_exit_code(capsys, models_dir, tmp_path):
 def test_cap_exit_code(capsys, models_dir):
     code, _, err = run_cli(capsys, "det", models_dir / "machine.aia", "--cap", 1)
     assert code == 3 and "cap" in err
+
+
+def test_cap_only_on_bounded_commands(capsys):
+    from altia.cli import build_parser
+
+    commands = {
+        "det": ["f"], "refine": ["l", "r"], "tester": ["f"], "testgen": ["f", "-o", "d"],
+        "check": ["f"], "member": ["f", "--trace", "?a"], "compose": ["--and", "l", "r"],
+        "to-ia": ["f"], "to-aia": ["f"], "run": ["t", "i"], "dot": ["f"],
+    }
+    capped = set()
+    for name, args in commands.items():
+        try:
+            build_parser().parse_args([name, *args, "--cap", "5"])
+            capped.add(name)
+        except SystemExit:
+            assert "unrecognized arguments: --cap" in capsys.readouterr().err
+    assert capped == {"det", "refine", "tester", "testgen"}
 
 
 def test_refine_agrees_with_tester_run(capsys, models_dir, tmp_path):
@@ -219,11 +245,15 @@ def test_det_accepts_plain_ia(capsys, models_dir, tmp_path):
 
 
 def test_console_entry_point(models_dir):
+    # The child imports the same altia as this process, installed or not.
+    src = str(Path(altia.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "altia", "member", str(models_dir / "machine.aia"),
          "--trace", "?on ?b !t"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Forbidden"

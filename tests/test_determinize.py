@@ -1,11 +1,12 @@
 import pytest
 
-from altia import aia_top, after_trace, check_deterministic, det
+from altia import aia_top, after_trace, build_tester, check_deterministic, det, leq_aia
 from altia.determinize import DEFAULT_CAP
 from altia.errors import ExplorationLimitError
 from altia.io import parse_trace
-from altia.lattice import Kind, bot, classify, embed, top
+from altia.lattice import Kind, bot, classify, embed, expr_str, top
 from altia.rng import SplitMix64
+from altia.search import reachable
 
 from oracles import aia_member_set, rand_aia, rand_trace, universe
 
@@ -129,9 +130,31 @@ def test_state_names_resembling_expressions_stay_distinct():
     assert aia_member_set(d, words) == aia_member_set(tricky, words)
 
 
-def test_exploration_cap():
-    rng = SplitMix64(43)
-    s = rand_aia(rng, n_states=5)
-    with pytest.raises(ExplorationLimitError):
-        det(s, cap=0)
+# Each capped search with the number of nodes it visits on a spec.
+CAPPED = {
+    "det": (det, lambda s: len(reachable(s))),
+    "check_deterministic": (check_deterministic, lambda s: len(reachable(s))),
+    "build_tester": (build_tester, lambda s: len(reachable(s))),
+    "leq_aia": (lambda s, cap: leq_aia(s, s, cap), lambda s: leq_aia(s, s).pairs_explored),
+}
+
+
+@pytest.mark.parametrize("search", sorted(CAPPED))
+def test_exploration_cap(search, machine):
+    # One rule for every capped search: visiting more than cap nodes raises.
+    run, visited = CAPPED[search]
+    for s in (rand_aia(SplitMix64(43), n_states=5), machine):
+        n = visited(s)
+        for cap in {0, n - 1}:
+            with pytest.raises(ExplorationLimitError):
+                run(s, cap)
+        run(s, n)
     assert DEFAULT_CAP >= 100_000
+
+
+def test_tester_relabels_det_table():
+    rng = SplitMix64(44)
+    for _ in range(20):
+        s = rand_aia(rng, n_states=4)
+        table = reachable(s)
+        assert build_tester(s).ia.states == {expr_str(e) for e in table} | {"pass", "fail"}

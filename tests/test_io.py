@@ -1,7 +1,7 @@
 import pytest
 
 from altia import IA, FTrace, ParseError, det, build_tester
-from altia.io import parse_expr, parse_model, parse_trace, print_model, to_dot
+from altia.io import MAX_NESTING, parse_expr, parse_model, parse_trace, print_model, to_dot
 from altia.lattice import bot, embed, join, meet, top
 from altia.rng import SplitMix64
 
@@ -95,6 +95,18 @@ def test_parse_errors_carry_lines():
     with pytest.raises(ParseError) as err:
         parse_model(bad)
     assert "line 5" in str(err.value)
+
+
+def test_deep_nesting_is_a_parse_error():
+    shallow = "(" * MAX_NESTING + "q" + ")" * MAX_NESTING
+    assert parse_expr(shallow) == embed("q")
+    deep = "(" * 5000 + "q" + ")" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_expr(deep)
+    assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
+    with pytest.raises(ParseError) as err:
+        parse_model(f"aia deep\ninputs a\noutputs x\ninit {deep}\n")
+    assert err.value.line == 4
 
 
 def test_input_to_bottom_rejected():
