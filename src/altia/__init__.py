@@ -87,7 +87,6 @@ from .testing import (
     run_random,
     singular_from_trace,
     tester_problems,
-    validate_tester,
     verdict_exhaustive,
 )
 

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import AlphabetError, ModelError
-from .ia import IA, FTrace, Label
+from .ia import IA, FTrace, _check_label
 from .lattice import (
     Config,
     bot,
@@ -126,14 +126,6 @@ class AIA:
 
     def __repr__(self):
         return f"AIA({self.name!r}, {len(self.states)} states)"
-
-
-def _check_label(s: AIA, lab: Label):
-    if lab.is_input:
-        if lab.name not in s.inputs:
-            raise AlphabetError(f"{lab} is not an input of {s.name!r}")
-    elif lab.name not in s.outputs:
-        raise AlphabetError(f"{lab} is not an output of {s.name!r}")
 
 
 def after(s: AIA, e: Config, trace) -> Config:

@@ -145,9 +145,7 @@ def _load_tester(path) -> testing.Tester:
     m = load_model(path)
     if not isinstance(m, IA):
         raise AltiaError(f"{path} does not hold a tester (an ia)")
-    t = testing.Tester(m)
-    testing.validate_tester(t)
-    return t
+    return testing.Tester(m)
 
 
 def _cmd_run(args) -> int:
@@ -162,6 +160,8 @@ def _cmd_run(args) -> int:
         verdicts = [v]
         runs = 1
     else:
+        if args.runs < 1:
+            raise AltiaError("--runs must be at least 1")
         verdicts = []
         failures = 0
         runs = args.runs

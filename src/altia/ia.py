@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import AlphabetError, ModelError
+from .search import Search
 
 
 class Label(NamedTuple):
@@ -178,22 +179,21 @@ def classify_state(s: IA, q: str) -> StateFlags:
 def deterministic(s: IA) -> bool:
     """Whether every trace leads to at most one state.
 
-    Decided by the subset construction over reachable state sets, so it
-    terminates on any finite automaton.
+    Decided by a search over reachable states that fails on a second
+    initial state or on a state with two successors under one label.  As
+    long as every set of states a trace reaches is a singleton, the next
+    such set is one state's successor set, so a trace reaches two states
+    exactly when some reachable state has two successors under one label.
     """
     if len(s.initial) > 1:
         return False
-    seen = {s.initial}
-    stack = [s.initial]
-    while stack:
-        qs = stack.pop()
-        for label in s.labels:
-            nxt = frozenset(r for q in qs for r in s.succ(q, label))
-            if len(nxt) > 1:
+    search = Search(s.initial)
+    for _, q in search:
+        for succs in s.transitions.get(q, {}).values():
+            if len(succs) > 1:
                 return False
-            if nxt and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+            for r in succs:
+                search.push(r)
     return True
 
 

@@ -466,9 +466,7 @@ def to_dot(m: Union[IA, AIA]) -> str:
             uses_top = True
             body.append("  __init0 -> __top;")
         elif not m.initial.is_bot:
-            lines = clause_targets("__init0", "", m.initial)
-            uses_top = uses_top or m.initial.is_top
-            body.extend(lines)
+            body.extend(clause_targets("__init0", "", m.initial))
         for q in sorted(m.states):
             for label in sorted(m.transitions[q]):
                 cfg = m.transitions[q][label]
@@ -479,7 +477,7 @@ def to_dot(m: Union[IA, AIA]) -> str:
                 if cfg.is_top:
                     uses_top = True
                 body.extend(clause_targets(_dot_id(q), _decorate(label, m.inputs), cfg))
-    if uses_top or any("__top" in line for line in body):
+    if uses_top:
         out.append('  __top [shape=none,label="T"];')
     out.extend(body)
     out.append("}")

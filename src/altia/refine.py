@@ -13,7 +13,7 @@ shared with every other search on the same automaton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import aia as _aia
 from . import ia as _ia
@@ -69,14 +69,14 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     return RefinementResult(True, None, len(search.nodes))
 
 
-def _localize(i: IA, cex: FTrace, right_member: Callable[[FTrace], bool]) -> FTrace:
+def _localize(i: IA, cex: FTrace, right: AIA) -> FTrace:
     # The product ran on the alternating view of ``i``, whose behaviour is
     # the closure of the automaton's own; shorten the counterexample to
     # the refusal that justified it so it is a genuine observation of i.
     for j, lab in enumerate(cex.body):
         if lab.is_input:
             cand = FTrace(cex.body[:j], lab.name)
-            if _ia.ftrace_member(i, cand) and not right_member(cand):
+            if _ia.ftrace_member(i, cand) and not _aia.ftrace_member(right, cand):
                 return cand
     if _ia.ftrace_member(i, cex):
         return cex
@@ -90,7 +90,7 @@ def leq_ia_aia(i: IA, s: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     res = leq_aia(induce_aia(i), s, cap)
     if res.holds:
         return res
-    cex = _localize(i, res.counterexample, lambda ft: _aia.ftrace_member(s, ft))
+    cex = _localize(i, res.counterexample, s)
     return RefinementResult(False, cex, res.pairs_explored)
 
 
@@ -102,11 +102,7 @@ def leq_ia(i1: IA, i2: IA, cap: int = DEFAULT_CAP) -> RefinementResult:
     """
     if i1.inputs != i2.inputs or i1.outputs != i2.outputs:
         raise AlphabetError(f"{i1.name!r} and {i2.name!r} have different alphabets")
-    res = leq_aia(induce_aia(i1), induce_aia(i2), cap)
-    if res.holds:
-        return res
-    cex = _localize(i1, res.counterexample, lambda ft: _ia.fcl_member(i2, ft))
-    return RefinementResult(False, cex, res.pairs_explored)
+    return leq_ia_aia(i1, induce_aia(i2), cap)
 
 
 def equiv(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> bool:

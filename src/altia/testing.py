@@ -19,6 +19,7 @@ never fail a correct implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional, Sequence
 
 from . import aia as _aia
@@ -48,11 +49,23 @@ def refusal_base(name: str) -> str:
 
 @dataclass(frozen=True)
 class Tester:
-    """An interface automaton with swapped alphabets and verdict sinks."""
+    """An interface automaton with swapped alphabets and verdict sinks.
+
+    Every instance satisfies the tester contract (see
+    :func:`tester_problems`): the constructor checks it once and raises
+    :class:`~altia.errors.ModelError` ("not a valid tester: ...") listing
+    every violation, so test execution never checks it again.  ``ia``
+    must therefore not be mutated after construction.
+    """
 
     ia: IA
     pass_state: str = PASS
     fail_state: str = FAIL
+
+    def __post_init__(self):
+        problems = tester_problems(self)
+        if problems:
+            raise ModelError("not a valid tester: " + "; ".join(problems))
 
     @property
     def stimuli(self) -> frozenset[str]:
@@ -76,6 +89,8 @@ def tester_problems(t: Tester) -> list[str]:
     Checks: single initial state, verdict states present and sinks
     without stimuli, determinism, every observation enabled everywhere,
     and each stimulus offered together with its refusal observation.
+    The :class:`Tester` constructor runs it, so it is empty for every
+    instance.
     """
     s = t.ia
     problems = []
@@ -106,12 +121,6 @@ def tester_problems(t: Tester) -> list[str]:
             if bool(s.succ(q, a)) != bool(s.succ(q, refusal(a))):
                 problems.append(f"state {q!r} offers {a!r} without its refusal (or vice versa)")
     return problems
-
-
-def validate_tester(t: Tester) -> None:
-    problems = tester_problems(t)
-    if problems:
-        raise ModelError("not a valid tester: " + "; ".join(problems))
 
 
 def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
@@ -178,7 +187,6 @@ def _pair_name(qt: str, qi: str) -> str:
 
 
 def _check_compatible(t: Tester, i: IA) -> None:
-    validate_tester(t)
     if not i.initial:
         raise ModelError(f"implementation {i.name!r} is empty: nothing to test")
     if i.inputs != t.stimuli or i.outputs != t.observations:
@@ -337,7 +345,7 @@ def gen_singular(s: AIA, seed: int, max_depth: int, p_stop: float) -> AIA:
     enough that its tester is a sound test case for ``s``.
     """
     if not 0.0 <= p_stop <= 1.0:
-        raise ValueError("p_stop must be a probability")
+        raise ModelError("p_stop must be a probability")
     e0 = s.initial
     if e0.is_top:
         return aia_top(s.inputs, s.outputs, name=f"singular({s.name})")
@@ -450,19 +458,18 @@ def is_singular_for(s2: AIA, s1: AIA) -> bool:
         return False
     root = s2.initial.single_state
     seen = {root}
-    stack: list[tuple[str, tuple[Label, ...]]] = [(root, ())]
+    stack: list[tuple[str, Config]] = [(root, s1.initial)]
     while stack:
-        node, trace = stack.pop()
+        node, e1 = stack.pop()
         constrained_inputs = 0
         for label in sorted(s2.labels):
             cfg = s2.transitions[node][label]
-            lab = Label(label, label in s2.inputs)
             kind = classify(cfg)
-            if lab.is_input and kind is not Kind.TOP:
+            if label in s2.inputs and kind is not Kind.TOP:
                 constrained_inputs += 1
             if kind is Kind.TOP:
                 continue
-            here = _aia.after_trace(s1, trace + (lab,))
+            here = s1.step(e1, label)
             if kind is Kind.BOT:
                 if not here.is_bot:
                     return False
@@ -475,7 +482,7 @@ def is_singular_for(s2: AIA, s1: AIA) -> bool:
             if child in seen:  # shared or looping target: not a tree
                 return False
             seen.add(child)
-            stack.append((child, trace + (lab,)))
+            stack.append((child, here))
         if constrained_inputs > 1:
             return False
     return seen == set(s2.states)
@@ -484,45 +491,22 @@ def is_singular_for(s2: AIA, s1: AIA) -> bool:
 def is_test_case(t: Tester) -> bool:
     """Whether a tester is directly executable as a test case.
 
-    Requires a well-formed tester offering at most one stimulus per
-    state (a stimulus and its refusal observation count as one offer)
-    whose non-verdict part is acyclic, so every run reaches a verdict.
+    Requires at most one stimulus per state (a stimulus and its refusal
+    observation count as one offer) and an acyclic non-verdict part, so
+    every run reaches a verdict.
     """
-    if tester_problems(t):
-        return False
     s = t.ia
     for q in s.states:
         offered = {a for a in t.stimuli if s.succ(q, a)}
         if len(offered) > 1:
             return False
-    # Cycle check over non-verdict states.
     verdicts = {t.pass_state, t.fail_state}
-
-    def successors(q):
-        return sorted(
-            r
-            for targets in s.transitions.get(q, {}).values()
-            for r in targets
-            if r not in verdicts
-        )
-
-    colors: dict[str, int] = {}  # 1 = on stack, 2 = done
-    for start in sorted(s.states - verdicts):
-        if start in colors:
-            continue
-        colors[start] = 1
-        stack = [(start, iter(successors(start)))]
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                c = colors.get(nxt)
-                if c == 1:
-                    return False
-                if c is None:
-                    colors[nxt] = 1
-                    stack.append((nxt, iter(successors(nxt))))
-                    break
-            else:
-                colors[node] = 2
-                stack.pop()
+    graph = {
+        q: {r for targets in s.transitions.get(q, {}).values() for r in targets} - verdicts
+        for q in s.states - verdicts
+    }
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        return False
     return True

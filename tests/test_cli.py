@@ -196,6 +196,14 @@ def test_input_error_exit_code(capsys, models_dir, tmp_path):
         capsys, "refine", models_dir / "widget.aia", models_dir / "machine.aia"
     )
     assert code == 2  # different alphabets
+    code, _, err = run_cli(capsys, "testgen", models_dir / "machine.aia", "--p-stop", 2,
+                           "-o", tmp_path / "gen")
+    assert code == 2 and err.startswith("error:")
+    tester = tmp_path / "tester.ia"
+    assert run_cli(capsys, "tester", models_dir / "machine.aia", "-o", tester)[0] == 0
+    code, _, err = run_cli(capsys, "run", tester, models_dir / "good_machine.ia",
+                           "--runs", 0, "--json")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_cap_exit_code(capsys, models_dir):

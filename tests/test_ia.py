@@ -5,11 +5,15 @@ from altia import (
     AlphabetError,
     FTrace,
     after_set,
+    aia_ftrace_member,
+    check_deterministic,
     classify_ia,
     classify_state,
+    deterministic,
     fcl_member,
     ftrace_member,
     in_set,
+    induce_aia,
     inp,
     out,
     out_set,
@@ -88,6 +92,24 @@ def test_ftrace_membership_against_reference():
         for w in words:
             assert ftrace_member(m, w) == ia_member(m, w)
             assert fcl_member(m, w) == ia_fcl_member(m, w)
+
+
+def test_deterministic_agrees_with_alternating_view():
+    rng = SplitMix64(31)
+    for _ in range(500):
+        m = rand_ia(rng)
+        assert deterministic(m) == check_deterministic(induce_aia(m))
+
+
+def test_fcl_is_membership_in_alternating_view():
+    # refinement against an ia localizes its counterexamples through this
+    rng = SplitMix64(32)
+    words = universe(("a", "b"), ("x", "y"), 4)
+    for _ in range(40):
+        m = rand_ia(rng)
+        view = induce_aia(m)
+        for w in words:
+            assert fcl_member(m, w) == aia_ftrace_member(view, w)
 
 
 def test_after_concatenates():

@@ -228,5 +228,10 @@ def test_dot_output(widget, machine, scenario):
     assert '"T"' in raw  # the shared unconstrained target
 
 
+def test_dot_top_node_only_for_top_edges():
+    m = IA({"s__top"}, {"a"}, {"x"}, {"s__top": {"x": {"s__top"}}}, {"s__top"})
+    assert "shape=none" not in to_dot(m)
+
+
 def test_dot_deterministic(machine):
     assert to_dot(machine) == to_dot(machine)

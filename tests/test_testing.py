@@ -22,7 +22,8 @@ from altia import (
 )
 from altia import testing as mbt
 from altia.aia import ftrace_member as aia_member_impl
-from altia.io import parse_trace
+from altia.cli import main as cli_main
+from altia.io import parse_trace, save_model
 from altia.rng import SplitMix64
 
 from oracles import rand_aia, rand_ia
@@ -356,6 +357,9 @@ def test_singular_from_trace_requires_counterexample(machine):
 def test_is_test_case_examples(machine, scenario):
     assert is_test_case(build_tester(scenario))
     assert not is_test_case(build_tester(machine))  # ?take cycle, two stimuli
+    loop = IA({"q", "pass", "fail"}, {"x"}, (),
+              {"q": {"x": {"q"}}, "pass": {"x": {"pass"}}, "fail": {"x": {"fail"}}}, {"q"})
+    assert not is_test_case(mbt.Tester(loop))  # a non-verdict self-loop never ends
 
 
 def test_is_singular_for_examples(machine, scenario, widget):
@@ -396,15 +400,16 @@ def test_is_singular_requires_top_where_spec_is_top(machine):
     assert not is_singular_for(bad, machine)
 
 
-def test_tester_validation_catches_broken_testers(machine, good_machine):
+def test_tester_validation_catches_broken_testers(machine, models_dir, tmp_path, capsys):
     t = build_tester(machine)
     # drop one observation somewhere: no longer input-enabled
     broken = {q: dict(row) for q, row in t.ia.transitions.items()}
     victim = next(q for q in broken if broken[q].get("t"))
     del broken[victim]["t"]
-    b = mbt.Tester(IA(t.ia.states, t.ia.inputs, t.ia.outputs, broken, t.ia.initial, name="broken"))
-    assert any("observation" in p for p in mbt.tester_problems(b))
-    with pytest.raises(ModelError):
-        verdict_exhaustive(b, good_machine)
-    with pytest.raises(ModelError):
-        execute_product(b, good_machine)
+    b = IA(t.ia.states, t.ia.inputs, t.ia.outputs, broken, t.ia.initial, name="broken")
+    with pytest.raises(ModelError, match="observation"):
+        mbt.Tester(b)
+    path = tmp_path / "broken.ia"
+    save_model(path, b)
+    code = cli_main(["run", str(path), str(models_dir / "good_machine.ia")])
+    assert code == 2 and capsys.readouterr().err.startswith("error: not a valid tester")
