@@ -39,13 +39,16 @@ class AIA:
     output is forbidden.  The stored table is total.  Instances are
     immutable and all operations on them are pure.
 
-    The one piece of internal state is the step memo, a plain dict from
-    ``(configuration, label)`` to the successor configuration, filled by
-    :meth:`step`.  Every search over the same automaton (determinization,
-    tester, refinement, membership) then computes each step once, and the
-    memo is freed with the automaton.  It is a cache of a pure function,
-    like the lattice intern table: a race between threads can at worst
-    compute a successor twice, and both results are equal.
+    The one piece of internal state is the step memo, filled by
+    :meth:`step`: a plain dict from ``(configuration, label)`` to the
+    successor configuration, and a dict of canonical successors, seeded
+    with ``initial``, that gives equal successors one shared object.  Every
+    search over the same automaton (determinization, tester, refinement,
+    membership) then computes each step once, and its seen-sets and memo
+    hits compare by identity first.  Both dicts are freed with the
+    automaton.  They cache a pure function: a race between threads can at
+    worst compute a successor twice, or keep two equal successor objects,
+    and equal objects still compare equal.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="aia"):
@@ -95,6 +98,7 @@ class AIA:
             l: {q: table[q][l] for q in self.states} for l in self.inputs | self.outputs
         }
         self._steps: dict[tuple[Config, str], Config] = {}
+        self._canonical: dict[Config, Config] = {initial: initial}
 
     @property
     def labels(self) -> frozenset[str]:
@@ -108,7 +112,8 @@ class AIA:
             mapping = self._by_label.get(label_name)
             if mapping is None:
                 raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
-            succ = self._steps[key] = substitute(e, mapping)
+            succ = substitute(e, mapping)
+            succ = self._steps[key] = self._canonical.setdefault(succ, succ)
         return succ
 
     def __eq__(self, other):

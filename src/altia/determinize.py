@@ -32,6 +32,11 @@ def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
     deterministic and has the same input-failure traces as ``s``.
     """
     reach = reachable(s, cap)
+    # each configuration is named and embedded once, and the det table
+    # shares that one state object; the successors in the table are the
+    # automaton's canonical objects, so these lookups hit by identity
+    names = {e: expr_str(e) for e in reach}
+    singles = {e: embed(name) for e, name in names.items()}
 
     def promote(e: Config) -> Config:
         k = classify(e)
@@ -39,14 +44,14 @@ def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
             return top()
         if k is Kind.BOT:
             return bot()
-        return embed(expr_str(e))
+        return singles[e]
 
     trans = {
-        expr_str(e): {label: promote(t) for label, t in row.items()}
+        names[e]: {label: promote(t) for label, t in row.items()}
         for e, row in reach.items()
     }
     return AIA(
-        [expr_str(e) for e in reach],
+        names.values(),
         s.inputs,
         s.outputs,
         trans,

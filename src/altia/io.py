@@ -50,6 +50,7 @@ from .lattice import (
     join_all,
     meet_all,
     quote_name as _quote,
+    sorted_clauses,
     top,
 )
 
@@ -418,8 +419,12 @@ def to_dot(m: Union[IA, AIA]) -> str:
     double circles.  For alternating automata a disjunction is drawn as
     parallel same-labelled arrows and a conjunctive clause as an arrow to
     a junction point fanning out to the clause members; top targets
-    share one node drawn as ``T``.
+    share one node drawn as ``T``.  Helper nodes (start points, junctions,
+    ``T``) are named with a prefix that no state name starts with.
     """
+    helper = "__"
+    while any(q.startswith(helper) for q in m.states):
+        helper += "_"
     out = ["digraph " + _dot_id(m.name) + " {", "  rankdir=TB;"]
     is_ia = isinstance(m, IA)
     for q in sorted(m.states):
@@ -431,16 +436,16 @@ def to_dot(m: Union[IA, AIA]) -> str:
         nonlocal junctions
         lines = []
         if cfg.is_top:
-            lines.append(f"  {prefix} -> __top [label={_dot_id(label_text)}];")
+            lines.append(f"  {prefix} -> {helper}top [label={_dot_id(label_text)}];")
             return lines
-        for clause in sorted(cfg.key):
+        for clause in sorted_clauses(cfg):
             if len(clause) == 1:
                 lines.append(
                     f"  {prefix} -> {_dot_id(clause[0])} [label={_dot_id(label_text)}];"
                 )
             else:
                 junctions += 1
-                j = f"__j{junctions}"
+                j = f"{helper}j{junctions}"
                 lines.append(f"  {j} [shape=point,width=0.06];")
                 lines.append(f"  {prefix} -> {j} [label={_dot_id(label_text)},arrowhead=none];")
                 for q2 in clause:
@@ -451,8 +456,8 @@ def to_dot(m: Union[IA, AIA]) -> str:
     uses_top = False
     if is_ia:
         for k, q in enumerate(sorted(m.initial)):
-            body.append(f"  __init{k} [shape=point,style=invis];")
-            body.append(f"  __init{k} -> {_dot_id(q)};")
+            body.append(f"  {helper}init{k} [shape=point,style=invis];")
+            body.append(f"  {helper}init{k} -> {_dot_id(q)};")
         for q in sorted(m.states):
             for label in sorted(m.transitions.get(q, {})):
                 for r in sorted(m.succ(q, label)):
@@ -461,12 +466,12 @@ def to_dot(m: Union[IA, AIA]) -> str:
                         f"[label={_dot_id(_decorate(label, m.inputs))}];"
                     )
     else:
-        body.append("  __init0 [shape=point,style=invis];")
+        body.append(f"  {helper}init0 [shape=point,style=invis];")
         if m.initial.is_top:
             uses_top = True
-            body.append("  __init0 -> __top;")
+            body.append(f"  {helper}init0 -> {helper}top;")
         elif not m.initial.is_bot:
-            body.extend(clause_targets("__init0", "", m.initial))
+            body.extend(clause_targets(f"{helper}init0", "", m.initial))
         for q in sorted(m.states):
             for label in sorted(m.transitions[q]):
                 cfg = m.transitions[q][label]
@@ -478,7 +483,7 @@ def to_dot(m: Union[IA, AIA]) -> str:
                     uses_top = True
                 body.extend(clause_targets(_dot_id(q), _decorate(label, m.inputs), cfg))
     if uses_top:
-        out.append('  __top [shape=none,label="T"];')
+        out.append(f'  {helper}top [shape=none,label="T"];')
     out.extend(body)
     out.append("}")
     return "\n".join(out) + "\n"

@@ -6,18 +6,18 @@ conjunction for "all of these views at once".  ``T`` (top) means the
 behaviour is unconstrained from here on, ``F`` (bottom) that no behaviour
 at all is allowed.
 
-Every configuration is stored in irredundant disjunctive normal form: a
-set of clauses, each clause a set of state names.  A clause stands for
-the conjunction of its members, the clause set for the disjunction of its
-clauses, and the set is kept as an antichain (no clause contains
-another).  That form is unique per lattice element, so ``==`` decides
-lattice equality, instances hash well, and equal values are interned to
-the same object.
+Every configuration is stored in one canonical form, irredundant
+disjunctive normal form: a frozenset of clauses, each clause a frozenset
+of state names.  A clause stands for the conjunction of its members, the
+clause set for the disjunction of its clauses, and the set is kept as an
+antichain (no clause contains another).  That form is unique per lattice
+element, so ``==`` on clause sets decides lattice equality.  Clause order
+is computed only where text is produced (:func:`sorted_clauses`).
 
-All values are immutable; the operations below are pure and safe to use
-from multiple threads.  The intern table is a plain dict used as a cache:
-a race can at worst build a duplicate instance, which still compares
-equal.
+There is no global table of instances: an automaton's step memo gives
+its own equal successors one object (see :class:`altia.aia.AIA`).  All
+values are immutable and the operations below are pure, so they are
+safe to use from multiple threads.
 """
 
 from __future__ import annotations
@@ -38,65 +38,59 @@ class Kind(Enum):
     COMPOUND = "compound"
 
 
-def _minimize(clauses: Iterable[Clause]) -> list[Clause]:
-    # Absorption: a clause that contains another clause is redundant.
-    uniq = sorted(set(clauses), key=len)
+def _minimize(clauses: Iterable[Clause]) -> frozenset[Clause]:
+    # Absorption: a clause that contains another clause is redundant.  Two
+    # distinct clauses of equal size cannot absorb each other, so each size
+    # class is tested only against the strictly smaller clauses kept so far.
+    by_size: dict[int, set[Clause]] = {}
+    for c in clauses:
+        by_size.setdefault(len(c), set()).add(c)
     kept: list[Clause] = []
-    for c in uniq:
-        if not any(k <= c for k in kept):
-            kept.append(c)
-    return kept
-
-
-_interned: dict[tuple, "Config"] = {}
+    for size in sorted(by_size):
+        kept.extend([c for c in by_size[size] if not any(k <= c for k in kept)])
+    return frozenset(kept)
 
 
 class Config:
-    """One lattice element in canonical form.
+    """One lattice element: its canonical clause antichain ``clauses``,
+    with that set's hash computed once.
 
     Do not mutate.  Build values with :func:`embed`, :func:`top`,
     :func:`bot` and the operations below; the constructor accepts any
     iterable of clauses and canonicalizes it.
     """
 
-    __slots__ = ("clauses", "key", "_hash")
+    __slots__ = ("clauses", "_hash")
 
     def __new__(cls, clauses: Iterable[Iterable[str]]):
-        minimal = _minimize(frozenset(c) for c in clauses)
-        key = tuple(sorted(tuple(sorted(c)) for c in minimal))
-        hit = _interned.get(key)
-        if hit is not None:
-            return hit
         self = object.__new__(cls)
-        self.clauses = frozenset(minimal)
-        self.key = key
-        self._hash = hash(key)
-        _interned[key] = self
+        self.clauses = _minimize(frozenset(c) for c in clauses)
+        self._hash = hash(self.clauses)
         return self
 
     @property
     def is_top(self) -> bool:
-        return self.key == ((),)
+        return self.clauses == _TOP_CLAUSES
 
     @property
     def is_bot(self) -> bool:
-        return self.key == ()
+        return not self.clauses
 
     @property
     def single_state(self) -> Optional[str]:
         """The state q if this is the embedding of a single state, else None."""
-        if len(self.key) == 1 and len(self.key[0]) == 1:
-            return self.key[0][0]
+        if len(self.clauses) == 1:
+            (clause,) = self.clauses
+            if len(clause) == 1:
+                return next(iter(clause))
         return None
 
     def states(self) -> frozenset[str]:
         """All state names occurring in the configuration."""
-        return frozenset(q for c in self.key for q in c)
+        return frozenset().union(*self.clauses)
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Config) and self.key == other.key
+        return self is other or (isinstance(other, Config) and self.clauses == other.clauses)
 
     def __hash__(self):
         return self._hash
@@ -108,18 +102,15 @@ class Config:
         return meet(self, other)
 
     def __str__(self):
-        if self.is_bot:
-            return "F"
-        if self.is_top:
-            return "T"
-        return " | ".join("&".join(c) for c in self.key)
+        return _render(self, str)
 
     def __repr__(self):
         return f"Config({str(self)!r})"
 
 
+_TOP_CLAUSES = frozenset((frozenset(),))
 _BOT = Config(())
-_TOP = Config((frozenset(),))
+_TOP = Config(_TOP_CLAUSES)
 
 
 def top() -> Config:
@@ -149,18 +140,18 @@ def meet(a: Config, b: Config) -> Config:
 
 def join_all(items: Iterable[Config]) -> Config:
     """Disjunction of finitely many configurations; empty gives bottom."""
-    clauses: list[Clause] = []
-    for e in items:
-        clauses.extend(e.clauses)
-    return Config(clauses)
+    operands = list(items)
+    if len(operands) == 1:  # a lone operand is canonical already
+        return operands[0]
+    return Config(c for e in operands for c in e.clauses)
 
 
 def meet_all(items: Iterable[Config]) -> Config:
     """Conjunction of finitely many configurations; empty gives top."""
-    out = _TOP
-    for e in items:
-        out = meet(out, e)
-    return out
+    out = None
+    for e in items:  # top and e is e: a lone operand is returned as it is
+        out = e if out is None else meet(out, e)
+    return _TOP if out is None else out
 
 
 def substitute(e: Config, f: Union[Mapping[str, Config], Callable[[str], Config]]) -> Config:
@@ -205,6 +196,18 @@ def quote_name(name: str) -> str:
     return f'"{escaped}"'
 
 
+def sorted_clauses(e: Config) -> list[list[str]]:
+    """The clauses of ``e`` as sorted name lists, in sorted order: the one
+    order in which ``str``, :func:`expr_str` and Graphviz write it out."""
+    return sorted(sorted(c) for c in e.clauses)
+
+
+def _render(e: Config, name: Callable[[str], str]) -> str:
+    if e.is_bot or e.is_top:
+        return "F" if e.is_bot else "T"
+    return " | ".join("&".join(map(name, clause)) for clause in sorted_clauses(e))
+
+
 def expr_str(e: Config) -> str:
     """Unambiguous expression rendering of ``e``.
 
@@ -212,8 +215,4 @@ def expr_str(e: Config) -> str:
     as operators or constants, so distinct configurations never render
     alike; used for file output and for naming synthesized states.
     """
-    if e.is_bot:
-        return "F"
-    if e.is_top:
-        return "T"
-    return " | ".join("&".join(quote_name(q) for q in clause) for clause in e.key)
+    return _render(e, quote_name)

@@ -144,23 +144,26 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
         FAIL: {x: {FAIL} for x in s.outputs},
     }
 
+    reach = reachable(s, cap)
+    names = {e: expr_str(e) for e in reach}  # each configuration named once
+
     def target(e: Config) -> str:
         k = classify(e)
         if k is Kind.TOP:
             return PASS
         if k is Kind.BOT:
             return FAIL
-        return expr_str(e)
+        return names[e]
 
     # The tester relabels the determinization table: observations follow
     # the successor, a constrained stimulus also gets its refusal to fail.
-    for e, succ in reachable(s, cap).items():
+    for e, succ in reach.items():
         row = {x: {target(succ[x])} for x in s.outputs}
         for a in s.inputs:
             if not succ[a].is_top:  # an underspecified input is not tested
                 row[a] = {target(succ[a])}
                 row[refusal(a)] = {FAIL}
-        trans[expr_str(e)] = row
+        trans[names[e]] = row
     t_outputs = set(s.inputs) | {refusal(a) for a in s.inputs}
     return Tester(
         IA(set(trans), s.outputs, t_outputs, trans, {target(s.initial)},

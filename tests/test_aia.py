@@ -22,6 +22,7 @@ from altia.aia import ftrace_member
 from altia.lattice import bot, embed, join, meet, top
 from altia.io import parse_trace
 from altia.rng import SplitMix64
+from altia.search import reachable
 
 from oracles import (
     aia_member,
@@ -262,3 +263,20 @@ def test_membership_against_reference(machine, widget):
     words_w = universe(widget.inputs, widget.outputs, 5)
     for w in words_w:
         assert ftrace_member(widget, w) == aia_member(widget, w)
+
+
+def test_step_returns_one_object_per_successor():
+    # Equal successors reached apart are one object per automaton, so the
+    # searches' seen-sets and memo hits compare by identity first.
+    p_row = {"x": join(embed("q"), embed("r")), "y": join(embed("r"), embed("q"))}
+    s = AIA({"p", "q", "r"}, set(), {"x", "y"}, {"p": p_row, "q": {"x": embed("p")}}, embed("p"))
+    e = s.step(s.initial, "x")
+    assert e is s.step(s.initial, "y")
+    assert s.step(e, "x") is s.initial  # q|r --x--> p|F, built afresh
+    rng = SplitMix64(71)
+    for _ in range(20):
+        s = rand_aia(rng, n_states=5)
+        one: dict = {}
+        for row in reachable(s).values():
+            for t in row.values():
+                assert one.setdefault(t, t) is t

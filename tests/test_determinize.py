@@ -158,3 +158,23 @@ def test_tester_relabels_det_table():
         s = rand_aia(rng, n_states=4)
         table = reachable(s)
         assert build_tester(s).ia.states == {expr_str(e) for e in table} | {"pass", "fail"}
+
+
+def test_exploration_frees_its_configurations():
+    # No global table keeps configurations alive: once the spec and the
+    # results are dropped, every configuration they made is freed.
+    import gc
+
+    from altia.lattice import Config
+
+    def live_configs():
+        gc.collect()
+        return sum(isinstance(o, Config) for o in gc.get_objects())
+
+    baseline = live_configs()
+    s = rand_aia(SplitMix64(5), n_states=30)  # 9 states, 1150 configurations
+    d, t = det(s), build_tester(s)
+    assert len(d.states) > 1000
+    assert live_configs() > baseline + 1000
+    del s, d, t
+    assert live_configs() == baseline

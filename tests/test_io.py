@@ -235,3 +235,27 @@ def test_dot_top_node_only_for_top_edges():
 
 def test_dot_deterministic(machine):
     assert to_dot(machine) == to_dot(machine)
+
+
+def test_dot_helper_nodes_never_collide_with_states():
+    # DOT reads "__init0" and __init0 as one node, so helper nodes need a
+    # prefix that no state name starts with
+    import re
+
+    def helper_nodes(dot):
+        return set(re.findall(r"^  (\w+) \[shape=(?:point|none)", dot, re.M))
+
+    i = IA({"__top", "__init0"}, {"a"}, {"x"}, {"__top": {"x": {"__init0"}}}, {"__top"})
+    s = parse_model(
+        'aia m\nstates "__top" "__init0" "__j1" "___x"\ninputs a\noutputs x\n'
+        'init "__init0"\n"__init0" !x -> "__top"&"__j1" | "___x"\n"__j1" !x -> T\n'
+    )
+    for m in (i, s):
+        dot = to_dot(m)
+        helpers = helper_nodes(dot)
+        assert helpers and not helpers & m.states
+        for q in m.states:
+            assert dot.count(f'"{q}" [shape=ellipse]') == 1
+            assert f'"{q}" [shape=point' not in dot
+    assert {"____init0", "____top", "____j1"} <= helper_nodes(to_dot(s))
+    assert to_dot(i).count("[shape=point,style=invis]") == 1

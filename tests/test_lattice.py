@@ -1,3 +1,5 @@
+from itertools import product
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -15,6 +17,9 @@ from altia.lattice import (
     substitute,
     top,
 )
+from altia.rng import SplitMix64
+
+from oracles import rand_expr
 
 q1, q2, q3 = embed("q1"), embed("q2"), embed("q3")
 
@@ -81,10 +86,12 @@ def test_substitution_vending_example():
     assert substitute(e, g) == meet(embed("w0"), embed("w2"))
 
 
-def test_interning_and_hash():
+def test_equality_and_hash():
+    # equal values built apart are equal and hash alike; there is no global
+    # table making them one object
     a = Config([{"q1"}, {"q2", "q3"}])
     b = join(q1, meet(q2, q3))
-    assert a is b
+    assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
 
@@ -92,8 +99,41 @@ def test_interning_and_hash():
 def test_str_parse_roundtrip():
     from altia.io import parse_expr
 
-    for e in (top(), bot(), q1, join(q1, meet(q2, q3)), meet(q1, join(q2, q3))):
-        assert parse_expr(str(e)) == e
+    rng = SplitMix64(4)
+    gens = ["q1", "q2", "q3", "q4", "q5", "q6"]
+    random_exprs = [rand_expr(rng, gens, depth=5) for _ in range(300)]
+    for e in [top(), bot(), q1, join(q1, meet(q2, q3)), meet(q1, join(q2, q3))] + random_exprs:
+        back = parse_expr(str(e))
+        assert back == e
+        # the text depends on the value only, not on how it was built
+        assert str(back) == str(e)
+
+
+def _antichain(raw):
+    # brute force: keep the clauses that contain no other clause
+    raw = set(map(frozenset, raw))
+    return frozenset(c for c in raw if not any(d < c for d in raw))
+
+
+def test_minimize_matches_brute_force_antichain():
+    rng = SplitMix64(11)
+    gens = ["q1", "q2", "q3", "q4", "q5", "q6"]
+    for _ in range(300):
+        a, b = rand_expr(rng, gens, depth=5), rand_expr(rng, gens, depth=5)
+        assert join(a, b).clauses == _antichain(a.clauses | b.clauses)
+        raw_meet = [c1 | c2 for c1 in a.clauses for c2 in b.clauses]
+        assert meet(a, b).clauses == _antichain(raw_meet)
+    # wide meets (a0|b0) & ... & (a9|b9): disjoint factors give 1024
+    # clauses of one size, overlapping ones (x0|x1) & (x1|x2) & ... absorb
+    for factors in (
+        [[{f"a{i}"}, {f"b{i}"}] for i in range(10)],
+        [[{f"x{i}"}, {f"x{i + 1}"}] for i in range(10)],
+        [[{f"x{i}"}, {f"x{i + 1}", f"x{i + 2}"}] for i in range(10)],
+    ):
+        e = meet_all(Config(f) for f in factors)
+        expected = _antichain(frozenset().union(*choice) for choice in product(*factors))
+        assert e.clauses == expected
+    assert len(meet_all(Config([{f"a{i}"}, {f"b{i}"}]) for i in range(10)).clauses) == 1024
 
 
 names = st.sampled_from(["q1", "q2", "q3", "q4", "q5", "q6"])

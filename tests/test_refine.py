@@ -177,8 +177,8 @@ def test_leq_ia_works_through_the_alternating_view(milkdrinks, tea):
 
 def test_concurrent_checks_on_shared_models():
     # values are immutable and operations pure: parallel checks on the
-    # same automata give the sequential answers (the intern table is a
-    # cache, races only ever rebuild an equal value)
+    # same automata give the sequential answers (each automaton's step memo
+    # is a cache, races only ever rebuild an equal value)
     from concurrent.futures import ThreadPoolExecutor
 
     rng = SplitMix64(58)
