@@ -42,8 +42,9 @@ class RefinementResult:
 def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     """Decide whether every observation of ``s1`` is allowed by ``s2``."""
     _aia._require_same_alphabets(s1, s2)
-    inputs = sorted(s1.inputs)
-    labels = [Label(a, True) for a in inputs] + [Label(x, False) for x in sorted(s1.outputs)]
+    labels = [Label(a, True) for a in sorted(s1.inputs)] + [
+        Label(x, False) for x in sorted(s1.outputs)
+    ]
 
     if s1.initial.is_bot:
         return RefinementResult(True)
@@ -52,11 +53,6 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
 
     search = Search([(s1.initial, s2.initial)], cap)
     for i, (e1, e2) in search:
-        # A refusal the left side allows must be allowed on the right:
-        # both sides must be underspecified on the same inputs here.
-        for a in inputs:
-            if s1.step(e1, a).is_top and not s2.step(e2, a).is_top:
-                return RefinementResult(False, FTrace(search.path(i), a), i + 1)
         for lab in labels:
             t1 = s1.step(e1, lab.name)
             if t1.is_bot:
@@ -64,8 +60,14 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
             t2 = s2.step(e2, lab.name)
             if t2.is_bot:
                 return RefinementResult(False, FTrace(search.path(i) + (lab,)), i + 1)
-            if not (t1.is_top and t2.is_top):
-                search.push((t1, t2), i, lab)
+            if t1.is_top:
+                if t2.is_top:
+                    continue
+                # A refusal the left side allows must be allowed on the
+                # right: both sides must be underspecified on this input.
+                if lab.is_input:
+                    return RefinementResult(False, FTrace(search.path(i), lab.name), i + 1)
+            search.push((t1, t2), i, lab)
     return RefinementResult(True, None, len(search.nodes))
 
 

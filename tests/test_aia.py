@@ -19,7 +19,7 @@ from altia import (
     trace_verdict,
 )
 from altia.aia import ftrace_member
-from altia.lattice import bot, embed, join, meet, top
+from altia.lattice import bot, embed, join, meet, meet_all, substitute, top
 from altia.io import parse_trace
 from altia.rng import SplitMix64
 from altia.search import reachable
@@ -30,6 +30,7 @@ from oracles import (
     ia_fcl_set,
     rand_aia,
     rand_config,
+    rand_expr,
     rand_ia,
     rand_trace,
     universe,
@@ -69,6 +70,10 @@ def test_after_top_absorbs(machine):
 def test_after_alphabet_error(machine):
     with pytest.raises(AlphabetError):
         after_trace(machine, parse_trace("?zap").body)
+    # top and bottom have no clause whose image would look the label up
+    for e in (bot(), top()):
+        with pytest.raises(AlphabetError):
+            machine.step(e, "nope")
 
 
 def test_membership_and_verdicts(machine, widget):
@@ -263,6 +268,36 @@ def test_membership_against_reference(machine, widget):
     words_w = universe(widget.inputs, widget.outputs, 5)
     for w in words_w:
         assert ftrace_member(widget, w) == aia_member(widget, w)
+
+
+def test_step_is_substitution_semantically():
+    # A configuration holds under a valuation of the states iff one of its
+    # clauses has all members true.  Stepping replaces each state by its
+    # target, so step(e, l) holds under V iff e holds under the valuation
+    # q -> [T(q, l) holds under V].  The oracle reads only clause sets; it
+    # uses none of the lattice operations the step and its memos are built on.
+    def holds(e, v):
+        return any(all(v[q] for q in c) for c in e.clauses)
+
+    rng = SplitMix64(97)
+    specs = [rand_aia(rng, n_states=6) for _ in range(30)]
+    # p0 & ... & p4 steps to a 32-clause image, too wide for the clause memo
+    wide = {f"p{k}": {"x": embed(f"a{k}") | embed(f"b{k}")} for k in range(5)}
+    states = [*wide, *(f"{c}{k}" for c in "ab" for k in range(5))]
+    specs.append(AIA(states, (), ("x",), wide, meet_all(embed(q) for q in wide)))
+    for s in specs:
+        states = sorted(s.states)
+        reached = [*reachable(s), top(), bot()]
+        unreached = [rand_expr(rng, states) for _ in range(100)] if states else []
+        unreached = [e for e in unreached if e not in reached]
+        for e in reached + unreached:  # the unreached ones meet a filled clause memo
+            for l in sorted(s.labels):
+                succ = s.step(e, l)
+                assert succ == substitute(e, {q: s.transitions[q][l] for q in s.states})
+                for _ in range(32):
+                    v = {q: rng.below(2) == 1 for q in states}
+                    w = {q: holds(s.transitions[q][l], v) for q in states}
+                    assert holds(succ, v) == holds(e, w)
 
 
 def test_step_returns_one_object_per_successor():

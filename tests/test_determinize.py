@@ -1,6 +1,14 @@
 import pytest
 
-from altia import aia_top, after_trace, build_tester, check_deterministic, det, leq_aia
+from altia import (
+    aia_top,
+    after_trace,
+    build_tester,
+    check_deterministic,
+    det,
+    induce_ia,
+    leq_aia,
+)
 from altia.determinize import DEFAULT_CAP
 from altia.errors import ExplorationLimitError
 from altia.io import parse_trace
@@ -162,7 +170,8 @@ def test_tester_relabels_det_table():
 
 def test_exploration_frees_its_configurations():
     # No global table keeps configurations alive: once the spec and the
-    # results are dropped, every configuration they made is freed.
+    # results are dropped, every configuration they made is freed, the
+    # step and clause-image memos' entries too.
     import gc
 
     from altia.lattice import Config
@@ -173,8 +182,8 @@ def test_exploration_frees_its_configurations():
 
     baseline = live_configs()
     s = rand_aia(SplitMix64(5), n_states=30)  # 9 states, 1150 configurations
-    d, t = det(s), build_tester(s)
-    assert len(d.states) > 1000
+    d, t, v = det(s), build_tester(s), induce_ia(s)
+    assert len(d.states) > 1000 and leq_aia(s, d)
     assert live_configs() > baseline + 1000
-    del s, d, t
+    del s, d, t, v
     assert live_configs() == baseline
