@@ -7,6 +7,13 @@ underspecified (accepting it leads to unconstrained behaviour); an
 output mapped to bottom is forbidden.  Inputs may never map to bottom:
 refusing an input is expressed by the environment's failure observation,
 not by the model.
+
+Configurations are name-based :class:`~altia.lattice.Config` values at
+the public boundary only.  Inside, each automaton steps *mask
+antichains*: its states are numbered in sorted-name order, a clause is
+the ``int`` with one bit per member, so ``k & m == k`` tests containment,
+and a configuration is the frozenset of its clause masks, kept as an
+antichain.  Bottom is the empty set and top ``{0}``, the empty clause.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .ia import IA, FTrace, _check_label
 from .lattice import (
     Clause,
     Config,
+    _from_antichain,
     bot,
     dnf,
     embed,
@@ -38,6 +46,128 @@ from .search import Search
 # fast as with every image kept, while a bound of 4 makes it 1.4x slower.
 _IMAGE_MEMO_MAX_CLAUSES = 8
 
+_Masks = frozenset[int]  # a mask antichain: clause masks, none containing another
+_TOP_MASKS: _Masks = frozenset((0,))
+
+
+def _mask_antichain(masks: set[int]) -> _Masks:
+    """The masks of ``masks`` that contain no other one (absorption).
+
+    Two distinct masks with equal bit counts cannot contain each other, so
+    each bit-count class is tested only against the strictly smaller masks
+    kept so far, and a set of one class is an antichain as it stands.
+    """
+    if len(masks) <= 1:
+        return frozenset(masks)
+    ordered = sorted(masks, key=int.bit_count)
+    n = ordered[0].bit_count()
+    if ordered[-1].bit_count() == n:
+        return frozenset(masks)
+    kept: list[int] = []
+    smaller: tuple[int, ...] = ()  # the kept masks with fewer bits than m
+    for m in ordered:
+        if m.bit_count() != n:
+            n = m.bit_count()
+            smaller = tuple(kept)
+        for k in smaller:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return frozenset(kept)
+
+
+class _MaskKernel:
+    """One automaton's states as bits, its transitions as mask antichains,
+    and the memos of its steps; see :class:`AIA`."""
+
+    __slots__ = ("bit", "name", "transitions", "images", "steps", "clauses", "configs", "masks")
+
+    def __init__(self, s: AIA):
+        order = sorted(s.states)
+        self.bit = {q: 1 << i for i, q in enumerate(order)}
+        self.name = {1 << i: q for i, q in enumerate(order)}
+        self.transitions = s.transitions  # targets are encoded when first met
+        self.clauses: dict[int, Clause] = {}  # clause mask -> member names
+        # the boundary memo, both ways; top and bottom decode to the
+        # lattice's own objects, every other successor equal to the
+        # initial configuration to that object
+        self.configs: dict[_Masks, Config] = {_TOP_MASKS: top(), frozenset(): bot()}
+        self.masks: dict[Config, _Masks] = {e: m for m, e in self.configs.items()}
+        self.encode(s.initial)
+        self.images: dict[str, dict[int, _Masks]] = {l: {} for l in s.labels}
+        self.steps: dict[tuple[_Masks, str], _Masks] = {}
+
+    def encode(self, e: Config) -> _Masks:
+        """The mask antichain of a configuration over this automaton's states."""
+        m = self.masks.get(e)
+        if m is None:
+            bit = self.bit
+            # e's clauses are an antichain, and so are their masks
+            m = frozenset(sum(bit[q] for q in c) for c in e.clauses)
+            self.masks[e] = m
+            self.configs.setdefault(m, e)
+        return m
+
+    def decode(self, m: _Masks) -> Config:
+        """The configuration of a mask antichain, one object per value."""
+        e = self.configs.get(m)
+        if e is None:
+            e = self.configs.setdefault(m, _from_antichain(frozenset(map(self.clause, m))))
+            self.masks[e] = m
+        return e
+
+    def clause(self, c: int) -> Clause:
+        """The state names of a clause mask, one object per clause."""
+        names = self.clauses.get(c)
+        if names is None:
+            name = self.name
+            members = []
+            rest = c
+            while rest:
+                low = rest & -rest
+                members.append(name[low])
+                rest ^= low
+            names = self.clauses[c] = frozenset(members)
+        return names
+
+    def image(self, c: int, label: str) -> _Masks:
+        """The meet of the targets of clause ``c``'s members under ``label``."""
+        images = self.images[label]
+        img = images.get(c)
+        if img is None:
+            img = _TOP_MASKS
+            rest = c
+            while rest and img:  # bottom absorbs the remaining members
+                low = rest & -rest
+                t = self.encode(self.transitions[self.name[low]][label])
+                if img is _TOP_MASKS:
+                    img = t
+                elif 0 not in t:  # top is the meet's unit
+                    img = _mask_antichain({a | b for a in img for b in t})
+                rest ^= low
+            if len(img) <= _IMAGE_MEMO_MAX_CLAUSES:
+                images[c] = img
+        return img
+
+    def step(self, e: _Masks, label: str) -> _Masks:
+        """The successor of ``e`` under ``label``: the join of its clauses'
+        images; a one-clause configuration's image as it is."""
+        key = (e, label)
+        succ = self.steps.get(key)
+        if succ is None:
+            images = self.images[label]
+            joined: set[int] = set()
+            for c in e:
+                img = images.get(c)  # image()'s own lookup, without the call
+                if img is None:
+                    img = self.image(c, label)
+                joined |= img
+            # one clause's image is an antichain already
+            succ = img if len(e) == 1 else _mask_antichain(joined)
+            self.steps[key] = succ
+        return succ
+
 
 class AIA:
     """An alternating interface automaton.
@@ -48,25 +178,31 @@ class AIA:
     output is forbidden.  The stored table is total.  Instances are
     immutable and all operations on them are pure.
 
-    The one piece of internal state is the step memo, filled by
-    :meth:`step`: a plain dict from ``(configuration, label)`` to the
-    successor configuration, and a dict of canonical successors, seeded
-    with ``initial``, that gives equal successors one shared object.  Every
-    search over the same automaton (determinization, tester, refinement,
-    membership) then computes each step once, and its seen-sets and memo
-    hits compare by identity first.  Beneath it sits the clause-image
-    memo, filled by :meth:`image`: per label, a dict from a clause to the
-    meet of its members' targets, when that meet has at most
-    ``_IMAGE_MEMO_MAX_CLAUSES`` clauses.  A step replaces each state by its
+    The one piece of internal state is the mask kernel, built on first
+    use so that constructing an automaton costs nothing extra.  It numbers
+    the states in sorted-name order (see the module docstring), encodes
+    each transition target as a mask antichain when a step first needs
+    it, and holds three memos.  The step memo maps ``(mask antichain,
+    label)`` to the successor, so every search over the same automaton
+    (determinization, tester, refinement, membership) computes each step
+    once.  Beneath it, the clause-image memo maps, per label, a clause
+    mask to the meet of its members' targets when that meet has at most
+    ``_IMAGE_MEMO_MAX_CLAUSES`` clauses: a step replaces each state by its
     target and renormalizes, so its successor is the join of the images
-    of the configuration's clauses; reachable configurations share far
-    fewer clauses than there are of them, so a configuration never
-    stepped before still reuses its clauses' work, and the
-    interface-automaton view (:func:`induce_ia`) reads the same images.
-    All three dicts are freed with the automaton.  They cache pure
-    functions: a race between threads can at worst compute a successor
-    or an image twice, or keep two equal objects, and equal objects
-    still compare equal.
+    of the configuration's clauses, and a configuration never stepped
+    before still reuses its clauses' work.  The boundary memo converts
+    between mask antichains and name-based configurations both ways,
+    keyed by value; it is seeded with ``initial`` and decodes each mask
+    antichain once, without re-canonicalizing, since a mask antichain is
+    canonical already.  So :meth:`step`, :meth:`image` and
+    :func:`~altia.search.reachable`, which decode through it, give equal
+    successors one shared object, also for a configuration built apart
+    from the automaton, and lookups in the determinization table hit by
+    identity first.  All memos are freed with the automaton.  They cache
+    pure functions of the immutable transitions, and the bit numbering
+    depends on the state names alone: a race between threads can at worst
+    build two kernels, compute a successor or an image twice, or keep two
+    equal objects, and equal objects still compare equal.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="aia"):
@@ -111,39 +247,35 @@ class AIA:
                     )
             table[q] = row
         self.transitions = table
-        self._images: dict[str, dict[Clause, Config]] = {l: {} for l in self.labels}
-        self._steps: dict[tuple[Config, str], Config] = {}
-        self._canonical: dict[Config, Config] = {initial: initial}
+        self._kernel: Optional[_MaskKernel] = None
 
     @property
     def labels(self) -> frozenset[str]:
         return self.inputs | self.outputs
 
+    def _masks(self) -> _MaskKernel:
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = _MaskKernel(self)
+        return kernel
+
+    def _label_kernel(self, label_name: str) -> _MaskKernel:
+        kernel = self._masks()
+        if label_name not in kernel.images:
+            raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
+        return kernel
+
     def image(self, clause: Clause, label_name: str) -> Config:
         """What one clause of a configuration steps to under a label name:
         the meet of its members' targets (top for the empty clause)."""
-        images = self._images.get(label_name)
-        if images is None:
-            raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
-        img = images.get(clause)
-        if img is None:
-            img = meet_all(self.transitions[q][label_name] for q in clause)
-            if len(img.clauses) <= _IMAGE_MEMO_MAX_CLAUSES:
-                images[clause] = img
-        return img
+        k = self._label_kernel(label_name)
+        return k.decode(k.image(sum(k.bit[q] for q in clause), label_name))
 
     def step(self, e: Config, label_name: str) -> Config:
         """One-step successor configuration of ``e`` under a label name:
         ``e`` with each state replaced by its target, renormalized."""
-        key = (e, label_name)
-        succ = self._steps.get(key)
-        if succ is None:
-            # bottom has no clause whose image would check the label
-            if label_name not in self._images:
-                raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
-            succ = join_all([self.image(c, label_name) for c in e.clauses])
-            succ = self._steps[key] = self._canonical.setdefault(succ, succ)
-        return succ
+        k = self._label_kernel(label_name)
+        return k.decode(k.step(k.encode(e), label_name))
 
     def __eq__(self, other):
         if not isinstance(other, AIA):
@@ -166,10 +298,12 @@ def after(s: AIA, e: Config, trace) -> Config:
     """The configuration reached from ``e`` along a label sequence."""
     if not e.states() <= s.states:
         raise ModelError(f"configuration uses states not declared in {s.name!r}")
+    k = s._masks()
+    m = k.encode(e)
     for lab in trace:
         _check_label(s, lab)
-        e = s.step(e, lab.name)
-    return e
+        m = k.step(m, lab.name)
+    return k.decode(m)
 
 
 def after_trace(s: AIA, trace) -> Config:

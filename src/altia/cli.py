@@ -266,10 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Numeric options that bound or count something; a negative value is a
+# usage error, not a cap of -5 that fails at once or a run of -1 steps.
+_NON_NEGATIVE = ("cap", "max_steps", "depth", "count")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in _NON_NEGATIVE:
+            if getattr(args, name, 0) < 0:
+                raise AltiaError(f"--{name.replace('_', '-')} must not be negative")
         return args.fn(args)
     except ExplorationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

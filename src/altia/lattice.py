@@ -14,10 +14,19 @@ antichain (no clause contains another).  That form is unique per lattice
 element, so ``==`` on clause sets decides lattice equality.  Clause order
 is computed only where text is produced (:func:`sorted_clauses`).
 
-There is no global table of instances: an automaton's step memo gives
-its own equal successors one object (see :class:`altia.aia.AIA`).  All
-values are immutable and the operations below are pure, so they are
-safe to use from multiple threads.
+This name-based form is the public boundary.  Exploration does not run
+on it: each automaton numbers its states once and steps *mask
+antichains*, a clause being an ``int`` with one bit per member (see
+:mod:`altia.aia`).  Conversion happens only in the automaton's boundary
+memo, which encodes a configuration given to ``AIA.step`` and decodes
+each successor once, through an unchecked constructor, since a mask
+antichain is canonical already.  The operations below (:func:`meet_all`,
+:func:`join_all`, :func:`substitute`, ...) are not on that path.
+
+There is no global table of instances: an automaton's boundary memo
+gives its own equal successors one object.  All values are immutable
+and the operations below are pure, so they are safe to use from
+multiple threads.
 """
 
 from __future__ import annotations
@@ -63,10 +72,7 @@ class Config:
     __slots__ = ("clauses", "_hash")
 
     def __new__(cls, clauses: Iterable[Iterable[str]]):
-        self = object.__new__(cls)
-        self.clauses = _minimize(frozenset(c) for c in clauses)
-        self._hash = hash(self.clauses)
-        return self
+        return _from_antichain(_minimize(frozenset(c) for c in clauses))
 
     @property
     def is_top(self) -> bool:
@@ -106,6 +112,16 @@ class Config:
 
     def __repr__(self):
         return f"Config({str(self)!r})"
+
+
+def _from_antichain(clauses: frozenset[Clause]) -> Config:
+    # The unchecked constructor: ``clauses`` must already be an antichain.
+    # An automaton's mask kernel decodes through it, since a mask antichain
+    # is canonical by construction (see altia.aia).
+    self = object.__new__(Config)
+    self.clauses = clauses
+    self._hash = hash(clauses)
+    return self
 
 
 _TOP_CLAUSES = frozenset((frozenset(),))

@@ -6,8 +6,9 @@ canonical configurations in lockstep: because configurations are
 canonical and only finitely many are reachable on each side, a breadth
 first search over configuration pairs (one :class:`~altia.search.Search`)
 decides trace-set inclusion exactly, and the first offending pair yields
-a shortest counterexample.  Steps go through ``AIA.step``, whose memo is
-shared with every other search on the same automaton.
+a shortest counterexample.  Each side steps its mask antichains through
+its automaton's mask kernel, whose memos are shared with every other
+search on the same automaton.
 """
 
 from __future__ import annotations
@@ -51,17 +52,20 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     if s2.initial.is_bot:
         return RefinementResult(False, FTrace())
 
-    search = Search([(s1.initial, s2.initial)], cap)
+    # The pairs are the two sides' mask antichains (see altia.aia): bottom
+    # is the empty set, top the set holding the empty clause 0.
+    k1, k2 = s1._masks(), s2._masks()
+    search = Search([(k1.encode(s1.initial), k2.encode(s2.initial))], cap)
     for i, (e1, e2) in search:
         for lab in labels:
-            t1 = s1.step(e1, lab.name)
-            if t1.is_bot:
+            t1 = k1.step(e1, lab.name)
+            if not t1:
                 continue
-            t2 = s2.step(e2, lab.name)
-            if t2.is_bot:
+            t2 = k2.step(e2, lab.name)
+            if not t2:
                 return RefinementResult(False, FTrace(search.path(i) + (lab,)), i + 1)
-            if t1.is_top:
-                if t2.is_top:
+            if 0 in t1:
+                if 0 in t2:
                     continue
                 # A refusal the left side allows must be allowed on the
                 # right: both sides must be underspecified on this input.

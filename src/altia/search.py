@@ -11,6 +11,14 @@ The search is breadth-first: nodes are visited in the order they were
 first pushed, so the first node found with some property is one of the
 fewest steps from a start, and :meth:`Search.path` rebuilds such a
 shortest label sequence.
+
+Configurations are searched as mask antichains, the integer form each
+automaton steps internally (see :mod:`altia.aia`): :func:`reachable`
+encodes the initial configuration, explores and steps masks only, and
+decodes the finished table through the automaton's boundary memo, so
+callers see name-based :class:`~altia.lattice.Config` values and equal
+successors as one object.  ``refine.leq_aia`` searches pairs of mask
+antichains the same way.
 """
 
 from __future__ import annotations
@@ -78,14 +86,17 @@ def reachable(s, cap: int = DEFAULT_CAP) -> dict[Config, dict[str, Config]]:
     configuration is itself top or bottom.
     """
     labels = sorted(s.inputs) + sorted(s.outputs)
-    table: dict[Config, dict[str, Config]] = {}
+    table: dict = {}
     if s.initial.is_top or s.initial.is_bot:
         return table
-    search = Search([s.initial], cap)
+    kernel = s._masks()
+    step = kernel.step
+    search = Search([kernel.encode(s.initial)], cap)
     for _, e in search:
-        row = {label: s.step(e, label) for label in labels}
+        row = {label: step(e, label) for label in labels}
         for t in row.values():
-            if not (t.is_top or t.is_bot):
+            if t and 0 not in t:  # neither bottom nor top
                 search.push(t)
         table[e] = row
-    return table
+    decode = kernel.decode
+    return {decode(e): {l: decode(t) for l, t in row.items()} for e, row in table.items()}

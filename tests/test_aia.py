@@ -315,3 +315,74 @@ def test_step_returns_one_object_per_successor():
         for row in reachable(s).values():
             for t in row.values():
                 assert one.setdefault(t, t) is t
+
+
+def test_step_is_substitution_on_larger_specs():
+    # The mask kernel against the name-based lattice, on specs of up to ten
+    # states: every reachable configuration and label, and configurations
+    # no search reached, which meet a filled clause-image memo.  Every
+    # successor must come back canonical: re-canonicalizing changes nothing.
+    from altia.lattice import Config
+
+    rng = SplitMix64(606)
+    for _ in range(16):
+        s = rand_aia(rng, n_states=10)
+        states = sorted(s.states)
+        reached = [*reachable(s), top(), bot()]
+        unreached = [e for e in (rand_expr(rng, states) for _ in range(40)) if e not in reached]
+        for e in reached + unreached:
+            for l in sorted(s.labels):
+                succ = s.step(e, l)
+                assert succ == substitute(e, {q: s.transitions[q][l] for q in s.states})
+                assert Config(succ.clauses) == succ
+
+
+def _brute_antichain(masks):
+    return frozenset(m for m in masks if not any(k != m and k & m == k for k in masks))
+
+
+def test_mask_antichain_matches_brute_force():
+    # fails when bit-count classes are visited largest first: a superset
+    # met before its subset is then kept
+    from itertools import product
+
+    from altia.aia import _mask_antichain
+
+    rng = SplitMix64(13)
+    for _ in range(500):
+        masks = {rng.below(1 << 8) for _ in range(rng.below(14))}
+        assert _mask_antichain(masks) == _brute_antichain(masks)
+    # (a0|b0) & ... & (a9|b9) as a conjunction of ten views steps its one
+    # clause to 1024 clauses of ten states each: one class, all kept
+    views = [
+        AIA({f"p{i}", f"a{i}", f"b{i}"}, (), ("x",),
+            {f"p{i}": {"x": embed(f"a{i}") | embed(f"b{i}")}}, embed(f"p{i}"))
+        for i in range(10)
+    ]
+    s = views[0]
+    for v in views[1:]:
+        s = conj(s, v)
+    k = s._masks()
+    succ = k.step(k.encode(s.initial), "x")
+    picks = product(*((f"a{i}", f"b{i}") for i in range(10)))
+    raw = {sum(k.bit[q] for q in pick) for pick in picks}
+    assert len(succ) == 1024 and succ == _brute_antichain(raw)
+    # supersets of some of those clauses are absorbed
+    wider = {m | k.bit["p0"] for m in sorted(raw)[::7]} | {m | k.bit["a0"] | k.bit["b0"] for m in raw}
+    assert _mask_antichain(raw | wider) == succ
+
+
+def test_step_encodes_configurations_built_apart():
+    # The boundary memo keys on the value, not the object: a configuration
+    # built apart from s steps to the very successor of its equal in s.
+    s = AIA({"p", "q", "r"}, (), ("x",), {"p": {"x": embed("q") | embed("r")}},
+            embed("p") & embed("q"))
+    apart = meet(embed("q"), embed("p"))
+    assert apart == s.initial and apart is not s.initial
+    assert s.step(apart, "x") is s.step(s.initial, "x")
+    assert s.image(frozenset({"p"}), "x") is s.step(embed("p"), "x")
+    # an undeclared state is still refused before any encoding
+    with pytest.raises(ModelError):
+        after(s, embed("zz") | embed("p"), parse_trace("!x").body)
+    with pytest.raises(ModelError):
+        after(s, embed("zz"), ())

@@ -204,6 +204,22 @@ def test_input_error_exit_code(capsys, models_dir, tmp_path):
     code, _, err = run_cli(capsys, "run", tester, models_dir / "good_machine.ia",
                            "--runs", 0, "--json")
     assert code == 2 and err.startswith("error:")
+    # negative counts and bounds are usage errors, not a cap exceeded at
+    # once or a PASS after -1 steps
+    scenario = tmp_path / "scenario_tester.ia"
+    assert run_cli(capsys, "tester", models_dir / "scenario.aia", "-o", scenario)[0] == 0
+    for argv in (
+        ("det", models_dir / "machine.aia", "--cap", -5),
+        ("refine", models_dir / "faulty_tea.ia", models_dir / "machine.aia", "--cap", -1),
+        ("tester", models_dir / "machine.aia", "--cap", -1),
+        ("testgen", models_dir / "machine.aia", "--cap", -1, "-o", tmp_path / "neg"),
+        ("testgen", models_dir / "machine.aia", "--depth", -1, "-o", tmp_path / "neg"),
+        ("testgen", models_dir / "machine.aia", "--count", -1, "-o", tmp_path / "neg"),
+        ("run", scenario, models_dir / "faulty_tea.ia", "--max-steps", -1, "--json"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error:") and "negative" in err
+    assert not (tmp_path / "neg").exists()
 
 
 def test_cap_exit_code(capsys, models_dir):
