@@ -32,23 +32,16 @@ from .errors import (
 from .ia import (
     IA,
     FTrace,
-    IAFlags,
     Label,
-    StateFlags,
     after_set,
-    classify_ia,
-    classify_state,
     deterministic,
     fcl_member,
     ftrace_member,
     in_set,
     inp,
     out,
-    out_set,
 )
 from .io import (
-    format_expr,
-    format_trace,
     load_model,
     parse_expr,
     parse_model,
@@ -75,11 +68,9 @@ from .lattice import (
 from .refine import RefinementResult, equiv, leq_aia, leq_ia, leq_ia_aia
 from .rng import SplitMix64
 from .testing import (
-    Product,
     Tester,
     Verdict,
     build_tester,
-    execute_product,
     format_verdict,
     gen_singular,
     is_singular_for,

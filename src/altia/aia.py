@@ -14,6 +14,9 @@ antichains*: its states are numbered in sorted-name order, a clause is
 the ``int`` with one bit per member, so ``k & m == k`` tests containment,
 and a configuration is the frozenset of its clause masks, kept as an
 antichain.  Bottom is the empty set and top ``{0}``, the empty clause.
+A clause's image under a label, the meet of its members' targets, exists
+only there: :meth:`AIA.step` joins clause images, and :func:`induce_ia`
+searches clauses by their images, without converting to ``Config``.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ from .lattice import (
     Config,
     _from_antichain,
     bot,
-    dnf,
     embed,
-    expr_str,
     join_all,
-    meet_all,
+    quote_name,
     substitute,
     top,
 )
@@ -190,19 +191,21 @@ class AIA:
     ``_IMAGE_MEMO_MAX_CLAUSES`` clauses: a step replaces each state by its
     target and renormalizes, so its successor is the join of the images
     of the configuration's clauses, and a configuration never stepped
-    before still reuses its clauses' work.  The boundary memo converts
-    between mask antichains and name-based configurations both ways,
-    keyed by value; it is seeded with ``initial`` and decodes each mask
-    antichain once, without re-canonicalizing, since a mask antichain is
-    canonical already.  So :meth:`step`, :meth:`image` and
-    :func:`~altia.search.reachable`, which decode through it, give equal
-    successors one shared object, also for a configuration built apart
-    from the automaton, and lookups in the determinization table hit by
-    identity first.  All memos are freed with the automaton.  They cache
-    pure functions of the immutable transitions, and the bit numbering
-    depends on the state names alone: a race between threads can at worst
-    build two kernels, compute a successor or an image twice, or keep two
-    equal objects, and equal objects still compare equal.
+    before still reuses its clauses' work.  Clause images are internal
+    to the kernel; :func:`induce_ia` is their only other reader.  The
+    boundary memo converts between mask antichains and name-based
+    configurations both ways, keyed by value; it is seeded with
+    ``initial`` and decodes each mask antichain once, without
+    re-canonicalizing, since a mask antichain is canonical already.  So
+    :meth:`step` and :func:`~altia.search.reachable`, which decode
+    through it, give equal successors one shared object, also for a
+    configuration built apart from the automaton, and lookups in the
+    determinization table hit by identity first.  All memos are freed
+    with the automaton.  They cache pure functions of the immutable
+    transitions, and the bit numbering depends on the state names alone:
+    a race between threads can at worst build two kernels, compute a
+    successor or an image twice, or keep two equal objects, and equal
+    objects still compare equal.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="aia"):
@@ -259,22 +262,12 @@ class AIA:
             kernel = self._kernel = _MaskKernel(self)
         return kernel
 
-    def _label_kernel(self, label_name: str) -> _MaskKernel:
-        kernel = self._masks()
-        if label_name not in kernel.images:
-            raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
-        return kernel
-
-    def image(self, clause: Clause, label_name: str) -> Config:
-        """What one clause of a configuration steps to under a label name:
-        the meet of its members' targets (top for the empty clause)."""
-        k = self._label_kernel(label_name)
-        return k.decode(k.image(sum(k.bit[q] for q in clause), label_name))
-
     def step(self, e: Config, label_name: str) -> Config:
         """One-step successor configuration of ``e`` under a label name:
         ``e`` with each state replaced by its target, renormalized."""
-        k = self._label_kernel(label_name)
+        k = self._masks()
+        if label_name not in k.images:
+            raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
         return k.decode(k.step(k.encode(e), label_name))
 
     def __eq__(self, other):
@@ -437,12 +430,6 @@ def induce_aia(i: IA) -> AIA:
     )
 
 
-def _clause_name(clause) -> str:
-    # the clause as a conjunction, rendered unambiguously ("T" for the
-    # empty clause, whose state behaves chaotically)
-    return expr_str(meet_all(embed(q) for q in clause))
-
-
 def induce_ia(s: AIA) -> IA:
     """The interface-automaton view of an alternating one.
 
@@ -451,27 +438,36 @@ def induce_ia(s: AIA) -> IA:
     clause is chaotic: all its behaviour is unconstrained.  Moving to a
     fully underspecified input is expressed by removing the transition
     rather than by an edge, so only reachable clauses are materialized.
+    The clauses are searched as masks, each stepped to its image in the
+    mask kernel.
     """
-    init = dnf(s.initial)
-    search = Search(sorted(init, key=sorted))
+    k = s._masks()
+
+    def name(c: int) -> str:
+        # the clause as a conjunction, rendered unambiguously ("T" for the
+        # empty clause, whose state behaves chaotically)
+        return "&".join(map(quote_name, sorted(k.clause(c)))) or "T"
+
+    init = k.encode(s.initial)
+    search = Search(init)
     trans: dict[str, dict[str, set[str]]] = {}
     labels = sorted(s.inputs) + sorted(s.outputs)
-    for _, clause in search:
+    for _, c in search:
         row: dict[str, set[str]] = {}
         for label in labels:
-            succs = dnf(s.image(clause, label))
+            succs = k.image(c, label)
             if label in s.inputs:
-                succs = succs - {frozenset()}
+                succs = succs - _TOP_MASKS
             if succs:
-                row[label] = {_clause_name(c) for c in succs}
-                for c in sorted(succs, key=sorted):
-                    search.push(c)
-        trans[_clause_name(clause)] = row
+                row[label] = set(map(name, succs))
+                for d in succs:
+                    search.push(d)
+        trans[name(c)] = row
     return IA(
         set(trans),
         s.inputs,
         s.outputs,
         trans,
-        {_clause_name(c) for c in init},
+        set(map(name, init)),
         name=f"ia({s.name})",
     )

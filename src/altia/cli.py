@@ -16,7 +16,8 @@ from . import determinize, refine, testing
 from .aia import AIA, conj, disj, induce_aia, induce_ia, trace_verdict
 from .errors import AltiaError, ExplorationLimitError
 from .ia import IA
-from .io import format_trace, load_model, parse_trace, print_model, save_model, to_dot
+from .io import load_model, parse_trace, print_model, save_model, to_dot
+from .search import DEFAULT_CAP
 
 
 def _as_aia(m):
@@ -84,13 +85,13 @@ def _cmd_refine(args) -> int:
     if args.json:
         print(json.dumps({
             "verdict": "holds" if res.holds else "fails",
-            "counterexample": None if res.holds else format_trace(res.counterexample),
+            "counterexample": None if res.holds else str(res.counterexample),
             "stats": {"pairs_explored": res.pairs_explored},
         }))
     elif res.holds:
         print("HOLDS")
     else:
-        print(f"FAIL {format_trace(res.counterexample)}".rstrip())
+        print(f"FAIL {res.counterexample}".rstrip())
     return 0 if res.holds else 1
 
 
@@ -177,7 +178,7 @@ def _cmd_run(args) -> int:
         worst = next((v for v in verdicts if not v.passed), verdicts[0])
         print(json.dumps({
             "verdict": "PASS" if failures == 0 else "FAIL",
-            "witness": format_trace(worst.witness) if worst.witness else None,
+            "witness": str(worst.witness) if worst.witness else None,
             "stats": {"runs": runs, "failures": failures},
         }))
     return 0 if failures == 0 else 1
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Only the commands whose searches are bounded take a cap.
     for name in ("det", "refine", "tester", "testgen"):
-        sub.choices[name].add_argument("--cap", type=int, default=determinize.DEFAULT_CAP,
+        sub.choices[name].add_argument("--cap", type=int, default=DEFAULT_CAP,
                                        help="exploration limit (default %(default)s)")
     return p
 

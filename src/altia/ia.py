@@ -145,35 +145,10 @@ def after_set(s: IA, from_states: Iterable[str], trace: Sequence[Label]) -> froz
     return cur
 
 
-def out_set(s: IA, states: Iterable[str]) -> frozenset[str]:
-    """Outputs produced by at least one of the given states."""
-    qs = frozenset(states)
-    return frozenset(x for x in s.outputs if any(s.succ(q, x) for q in qs))
-
-
 def in_set(s: IA, states: Iterable[str]) -> frozenset[str]:
     """Inputs accepted by all of the given states (all inputs for none)."""
     qs = frozenset(states)
     return frozenset(a for a in s.inputs if all(s.succ(q, a) for q in qs))
-
-
-class StateFlags(NamedTuple):
-    is_sink: bool
-    input_enabled: bool
-
-
-class IAFlags(NamedTuple):
-    deterministic: bool
-    input_enabled: bool
-    empty: bool
-
-
-def classify_state(s: IA, q: str) -> StateFlags:
-    if q not in s.states:
-        raise ModelError(f"state {q!r} not declared in {s.name!r}")
-    sink = all(s.succ(q, l) <= {q} for l in s.labels)
-    enabled = all(s.succ(q, a) for a in s.inputs)
-    return StateFlags(sink, enabled)
 
 
 def deterministic(s: IA) -> bool:
@@ -195,11 +170,6 @@ def deterministic(s: IA) -> bool:
             for r in succs:
                 search.push(r)
     return True
-
-
-def classify_ia(s: IA) -> IAFlags:
-    enabled = all(classify_state(s, q).input_enabled for q in s.states)
-    return IAFlags(deterministic(s), enabled, not s.initial)
 
 
 def ftrace_member(s: IA, ft: FTrace) -> bool:

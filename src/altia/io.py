@@ -35,7 +35,6 @@ omitted), so ``parse(print(m)) == m`` and printing is idempotent.
 
 from __future__ import annotations
 
-import re
 from typing import Optional, Union
 
 from .aia import AIA
@@ -212,10 +211,6 @@ def parse_trace(text: str) -> FTrace:
     return FTrace(tuple(body), failure)
 
 
-def format_trace(ft: FTrace) -> str:
-    return str(ft)
-
-
 def _parse_label_token(t: _Tok, inputs, outputs) -> str:
     if t.kind == "label":
         deco, name = t.text[0], t.text[1:]
@@ -360,11 +355,6 @@ def parse_model(text: str) -> Union[IA, AIA]:
         raise ParseError(str(exc), lineno) from exc
 
 
-def format_expr(cfg: Config) -> str:
-    """File-safe configuration expression (state names quoted as needed)."""
-    return expr_str(cfg)
-
-
 def _decorate(label: str, inputs) -> str:
     if label.startswith("~"):
         return label
@@ -381,7 +371,7 @@ def print_model(m: Union[IA, AIA]) -> str:
     if is_ia:
         lines.append(("init " + " ".join(_quote(q) for q in sorted(m.initial))).rstrip())
     else:
-        lines.append(f"init {format_expr(m.initial)}")
+        lines.append(f"init {expr_str(m.initial)}")
     for q in sorted(m.states):
         row = m.transitions.get(q, {})
         for label in sorted(row, key=lambda l: (_decorate(l, m.inputs)[0] != "?", l)):
@@ -393,7 +383,7 @@ def print_model(m: Union[IA, AIA]) -> str:
                     continue  # default
                 if label in m.outputs and target.is_bot:
                     continue  # default
-                rhs = format_expr(target)
+                rhs = expr_str(target)
             lines.append(f"{_quote(q)} {_decorate(label, m.inputs)} -> {rhs}")
     return "\n".join(lines) + "\n"
 

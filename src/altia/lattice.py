@@ -17,11 +17,15 @@ is computed only where text is produced (:func:`sorted_clauses`).
 This name-based form is the public boundary.  Exploration does not run
 on it: each automaton numbers its states once and steps *mask
 antichains*, a clause being an ``int`` with one bit per member (see
-:mod:`altia.aia`).  Conversion happens only in the automaton's boundary
-memo, which encodes a configuration given to ``AIA.step`` and decodes
-each successor once, through an unchecked constructor, since a mask
-antichain is canonical already.  The operations below (:func:`meet_all`,
-:func:`join_all`, :func:`substitute`, ...) are not on that path.
+:mod:`altia.aia`).  Clause images and steps are computed on masks only.
+Conversion happens only in the automaton's boundary memo, which encodes
+a configuration given to ``AIA.step`` or ``after`` and decodes each
+successor once, through an unchecked constructor, since a mask antichain
+is canonical already; ``induce_ia`` reads the member names of a clause
+mask from the same kernel.  The operations below (:func:`meet_all`,
+:func:`join_all`, :func:`substitute`, ...) are not on that path: they
+build configurations for parsing, composition, translation and
+state renaming.
 
 There is no global table of instances: an automaton's boundary memo
 gives its own equal successors one object.  All values are immutable
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional
 
 Clause = frozenset[str]
 
@@ -170,14 +174,13 @@ def meet_all(items: Iterable[Config]) -> Config:
     return _TOP if out is None else out
 
 
-def substitute(e: Config, f: Union[Mapping[str, Config], Callable[[str], Config]]) -> Config:
-    """Replace every state in ``e`` by ``f(state)`` and renormalize.
+def substitute(e: Config, f: Mapping[str, Config]) -> Config:
+    """Replace every state in ``e`` by ``f[state]`` and renormalize.
 
     ``f`` must cover every state occurring in ``e``; a missing state
     surfaces as the mapping's KeyError, which is a caller defect.
     """
-    lookup = f.__getitem__ if isinstance(f, Mapping) else f
-    return join_all(meet_all(lookup(q) for q in clause) for clause in e.clauses)
+    return join_all(meet_all(f[q] for q in clause) for clause in e.clauses)
 
 
 def classify(e: Config) -> Kind:

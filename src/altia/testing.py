@@ -100,8 +100,7 @@ def tester_problems(t: Tester) -> list[str]:
         if v not in s.states:
             problems.append(f"verdict state {v!r} missing")
             continue
-        flags = _ia.classify_state(s, v)
-        if not flags.is_sink:
+        if not all(s.succ(v, l) <= {v} for l in s.labels):
             problems.append(f"verdict state {v!r} is not a sink")
         if any(s.succ(v, x) for x in s.outputs):
             problems.append(f"verdict state {v!r} offers stimuli")
@@ -171,24 +170,6 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
     )
 
 
-@dataclass(frozen=True)
-class Product:
-    """Synchronous composition of a tester and an implementation.
-
-    A pure output machine over stimuli, refusals and observations; a
-    refusal fires exactly when the tester offers it and the
-    implementation cannot take the input.
-    """
-
-    ia: IA
-    pairs: dict[str, tuple[str, str]]
-    fail_states: frozenset[str]
-
-
-def _pair_name(qt: str, qi: str) -> str:
-    return f"{qt} ]| {qi}"
-
-
 def _check_compatible(t: Tester, i: IA) -> None:
     if not i.initial:
         raise ModelError(f"implementation {i.name!r} is empty: nothing to test")
@@ -200,7 +181,9 @@ def _check_compatible(t: Tester, i: IA) -> None:
 
 
 def _product_moves(t: Tester, i: IA, qt: str, qi: str):
-    """Enabled (label, [(qt', qi'), ...]) moves, in sorted label order."""
+    """Enabled (label, [(qt', qi'), ...]) moves of the synchronous product,
+    in sorted label order; a refusal ``~a`` fires exactly when the tester
+    offers it and the implementation cannot take ``a``."""
     moves = []
     for l in sorted(i.inputs | i.outputs):
         ts = t.ia.succ(qt, l)
@@ -212,33 +195,6 @@ def _product_moves(t: Tester, i: IA, qt: str, qi: str):
         if ts and not i.succ(qi, a):
             moves.append((refusal(a), [(qt2, qi) for qt2 in sorted(ts)]))
     return moves
-
-
-def execute_product(t: Tester, i: IA) -> Product:
-    """Build the reachable test-execution product."""
-    _check_compatible(t, i)
-    start = [(t.initial, qi) for qi in sorted(i.initial)]
-    search = Search(start)
-    trans: dict[str, dict[str, set[str]]] = {}
-    for _, (qt, qi) in search:
-        row: dict[str, set[str]] = {}
-        for label, succs in _product_moves(t, i, qt, qi):
-            row[label] = {_pair_name(*nxt) for nxt in succs}
-            for nxt in succs:
-                search.push(nxt)
-        trans[_pair_name(qt, qi)] = row
-    pairs = {_pair_name(*p): p for p in search.nodes}
-    labels = i.inputs | {refusal(a) for a in i.inputs} | i.outputs
-    product = IA(
-        set(pairs),
-        (),
-        labels,
-        trans,
-        {_pair_name(*p) for p in start},
-        name=f"({t.ia.name} ]| {i.name})",
-    )
-    fails = frozenset(n for n, (qt, _) in pairs.items() if qt == t.fail_state)
-    return Product(product, pairs, fails)
 
 
 @dataclass

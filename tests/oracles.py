@@ -196,6 +196,20 @@ def rand_aia(rng: SplitMix64, n_states=4, inputs=("a", "b"), outputs=("x", "y"),
     return AIA(states, inputs, outputs, trans, initial, name=name)
 
 
+def rand_aia_stepping(rng: SplitMix64, count: int, **kwargs) -> list[AIA]:
+    """The first ``count`` specs drawn by ``rand_aia`` whose initial
+    configuration is neither top nor bottom, so that a search from it
+    reaches at least one configuration; the others are drawn and dropped.
+    ``rand_aia`` itself is left as it is, since other seeded tests read
+    its stream."""
+    specs: list[AIA] = []
+    while len(specs) < count:
+        s = rand_aia(rng, **kwargs)
+        if not (s.initial.is_top or s.initial.is_bot):
+            specs.append(s)
+    return specs
+
+
 def rand_ia(rng: SplitMix64, n_states=4, inputs=("a", "b"), outputs=("x", "y"), name="rand") -> IA:
     states = [f"p{k}" for k in range(1 + rng.below(n_states))]
     trans = {}

@@ -16,7 +16,7 @@ from altia.lattice import Kind, bot, classify, embed, expr_str, top
 from altia.rng import SplitMix64
 from altia.search import reachable
 
-from oracles import aia_member_set, rand_aia, rand_trace, universe
+from oracles import aia_member_set, rand_aia, rand_aia_stepping, rand_trace, universe
 
 
 def cfg_after(s, text):
@@ -161,11 +161,12 @@ def test_exploration_cap(search, machine):
 
 
 def test_tester_relabels_det_table():
-    rng = SplitMix64(44)
-    for _ in range(20):
-        s = rand_aia(rng, n_states=4)
+    stepping = 0
+    for s in rand_aia_stepping(SplitMix64(44), 20, n_states=4):
         table = reachable(s)
+        stepping += bool(table)
         assert build_tester(s).ia.states == {expr_str(e) for e in table} | {"pass", "fail"}
+    assert stepping == 20
 
 
 def test_exploration_frees_its_configurations():

@@ -7,8 +7,6 @@ from altia import (
     after_set,
     aia_ftrace_member,
     check_deterministic,
-    classify_ia,
-    classify_state,
     deterministic,
     fcl_member,
     ftrace_member,
@@ -16,7 +14,6 @@ from altia import (
     induce_aia,
     inp,
     out,
-    out_set,
 )
 from altia.io import parse_trace
 from altia.rng import SplitMix64
@@ -36,21 +33,15 @@ def test_after_set_nondeterminism(milkdrinks):
 
 
 def test_out_in_sets(tea, milkdrinks):
-    after_b = after_set(tea, tea.initial, (inp("b"),))
-    assert out_set(tea, after_b) == {"t", "t+m"}
+    assert {x for x in tea.outputs if ftrace_member(tea, FTrace((inp("b"), out(x))))} == {"t", "t+m"}
     assert in_set(milkdrinks, after_set(milkdrinks, milkdrinks.initial, (inp("b"),))) == set()
     assert in_set(tea, frozenset()) == tea.inputs
 
 
-def test_classify(coffee, milkdrinks, tea):
-    assert classify_ia(coffee).deterministic
-    assert not classify_ia(milkdrinks).deterministic
-    assert not classify_ia(coffee).input_enabled
-    assert not classify_ia(coffee).empty
-    empty = IA((), ("a",), ("x",), {}, (), name="void")
-    assert classify_ia(empty).empty
-    assert classify_state(tea, "s2").is_sink
-    assert not classify_state(tea, "s0").is_sink
+def test_classify(coffee, milkdrinks):
+    assert deterministic(coffee)
+    assert not deterministic(milkdrinks)
+    assert deterministic(IA((), ("a",), ("x",), {}, (), name="void"))
 
 
 def test_ftrace_member_plain(coffee):
@@ -154,8 +145,8 @@ def test_det_input_enabled_agree_on_plain():
     tries = 0
     while tries < 15:
         m = rand_ia(rng, n_states=3)
-        flags = classify_ia(m)
-        if not (flags.deterministic and flags.input_enabled and not flags.empty):
+        enabled = all(m.succ(q, a) for q in m.states for a in m.inputs)
+        if not (deterministic(m) and enabled and m.initial):
             continue
         tries += 1
         for w in universe(m.inputs, m.outputs, 3):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from altia import (
@@ -7,7 +9,6 @@ from altia import (
     after_trace,
     aia_top,
     build_tester,
-    execute_product,
     format_verdict,
     gen_singular,
     induce_ia,
@@ -78,20 +79,6 @@ def test_tester_rejects_reserved_state_names():
 
 # ------------------------------------------------------------- execution
 
-def test_product_shape(machine, good_machine):
-    t = build_tester(machine)
-    prod = execute_product(t, good_machine)
-    assert not prod.ia.inputs
-    assert prod.fail_states == frozenset()  # the good machine never fails
-    assert all(qt in t.ia.states for qt, _ in prod.pairs.values())
-    # pass states never offer stimuli, so products starting there only observe
-    for name, (qt, qi) in prod.pairs.items():
-        if qt == "pass":
-            assert not any(
-                l for l in prod.ia.transitions.get(name, {}) if l in t.stimuli
-            )
-
-
 def test_product_refusal_edge(machine):
     # an implementation that never accepts ?take gets caught by ~take
     stubborn = IA(
@@ -123,8 +110,6 @@ def test_exhaustive_verdicts(machine, good_machine, faulty_tea):
 def test_empty_implementation_rejected(machine):
     t = build_tester(machine)
     empty = IA((), machine.inputs, machine.outputs, {}, (), name="void")
-    with pytest.raises(ModelError):
-        execute_product(t, empty)
     with pytest.raises(ModelError):
         verdict_exhaustive(t, empty)
 
@@ -409,6 +394,20 @@ def test_tester_validation_catches_broken_testers(machine, models_dir, tmp_path,
     b = IA(t.ia.states, t.ia.inputs, t.ia.outputs, broken, t.ia.initial, name="broken")
     with pytest.raises(ModelError, match="observation"):
         mbt.Tester(b)
+    # a verdict state that moves on, one that offers a stimulus, and a
+    # refusal label without its stimulus
+    moves_on = {q: dict(row) for q, row in t.ia.transitions.items()}
+    moves_on["pass"]["t"] = {t.initial}
+    stimulates = {q: dict(row) for q, row in t.ia.transitions.items()}
+    stimulates["fail"].update({"on": {"fail"}, "~on": {"fail"}})
+    for trans, outputs, message in (
+        (moves_on, t.ia.outputs, "verdict state 'pass' is not a sink"),
+        (stimulates, t.ia.outputs, "verdict state 'fail' offers stimuli"),
+        (t.ia.transitions, t.ia.outputs | {"~zz"}, "refusal label '~zz' has no matching stimulus"),
+    ):
+        b2 = IA(t.ia.states, t.ia.inputs, outputs, trans, t.ia.initial, name="broken")
+        with pytest.raises(ModelError, match=re.escape(message)):
+            mbt.Tester(b2)
     path = tmp_path / "broken.ia"
     save_model(path, b)
     code = cli_main(["run", str(path), str(models_dir / "good_machine.ia")])
