@@ -9,14 +9,13 @@ refusing an input is expressed by the environment's failure observation,
 not by the model.
 
 Configurations are name-based :class:`~altia.lattice.Config` values at
-the public boundary only.  Inside, each automaton steps *mask
-antichains*: its states are numbered in sorted-name order, a clause is
-the ``int`` with one bit per member, so ``k & m == k`` tests containment,
-and a configuration is the frozenset of its clause masks, kept as an
-antichain.  Bottom is the empty set and top ``{0}``, the empty clause.
-A clause's image under a label, the meet of its members' targets, exists
-only there: :meth:`AIA.step` joins clause images, and :func:`induce_ia`
-searches clauses by their images, without converting to ``Config``.
+the public boundary only.  Inside, each automaton steps the lattice's
+*mask antichains* over one numbering of its states (see
+:mod:`altia.lattice`): bottom is the empty set and top ``{0}``, the
+empty clause.  A clause's image under a label, the meet of its members'
+targets, exists only there: :meth:`AIA.step` joins clause images, and
+:func:`induce_ia` searches clauses by their images, without converting
+to ``Config``.
 """
 
 from __future__ import annotations
@@ -27,9 +26,12 @@ from typing import Optional
 from .errors import AlphabetError, ModelError
 from .ia import IA, FTrace, _check_label
 from .lattice import (
-    Clause,
+    _TOP_MASKS,
     Config,
-    _from_antichain,
+    _Masks,
+    _mask_antichain,
+    _mask_meet,
+    _Numbering,
     bot,
     embed,
     join_all,
@@ -47,49 +49,16 @@ from .search import Search
 # fast as with every image kept, while a bound of 4 makes it 1.4x slower.
 _IMAGE_MEMO_MAX_CLAUSES = 8
 
-_Masks = frozenset[int]  # a mask antichain: clause masks, none containing another
-_TOP_MASKS: _Masks = frozenset((0,))
-
-
-def _mask_antichain(masks: set[int]) -> _Masks:
-    """The masks of ``masks`` that contain no other one (absorption).
-
-    Two distinct masks with equal bit counts cannot contain each other, so
-    each bit-count class is tested only against the strictly smaller masks
-    kept so far, and a set of one class is an antichain as it stands.
-    """
-    if len(masks) <= 1:
-        return frozenset(masks)
-    ordered = sorted(masks, key=int.bit_count)
-    n = ordered[0].bit_count()
-    if ordered[-1].bit_count() == n:
-        return frozenset(masks)
-    kept: list[int] = []
-    smaller: tuple[int, ...] = ()  # the kept masks with fewer bits than m
-    for m in ordered:
-        if m.bit_count() != n:
-            n = m.bit_count()
-            smaller = tuple(kept)
-        for k in smaller:
-            if k & m == k:
-                break
-        else:
-            kept.append(m)
-    return frozenset(kept)
-
 
 class _MaskKernel:
     """One automaton's states as bits, its transitions as mask antichains,
     and the memos of its steps; see :class:`AIA`."""
 
-    __slots__ = ("bit", "name", "transitions", "images", "steps", "clauses", "configs", "masks")
+    __slots__ = ("numbering", "transitions", "images", "steps", "configs", "masks")
 
     def __init__(self, s: AIA):
-        order = sorted(s.states)
-        self.bit = {q: 1 << i for i, q in enumerate(order)}
-        self.name = {1 << i: q for i, q in enumerate(order)}
+        self.numbering = _Numbering(sorted(s.states))
         self.transitions = s.transitions  # targets are encoded when first met
-        self.clauses: dict[int, Clause] = {}  # clause mask -> member names
         # the boundary memo, both ways; top and bottom decode to the
         # lattice's own objects, every other successor equal to the
         # initial configuration to that object
@@ -103,9 +72,10 @@ class _MaskKernel:
         """The mask antichain of a configuration over this automaton's states."""
         m = self.masks.get(e)
         if m is None:
-            bit = self.bit
-            # e's clauses are an antichain, and so are their masks
-            m = frozenset(sum(bit[q] for q in c) for c in e.clauses)
+            try:
+                m = self.numbering.encode(e.clauses)
+            except KeyError as missing:
+                raise ModelError(f"configuration uses undeclared state {missing}") from None
             self.masks[e] = m
             self.configs.setdefault(m, e)
         return m
@@ -114,23 +84,9 @@ class _MaskKernel:
         """The configuration of a mask antichain, one object per value."""
         e = self.configs.get(m)
         if e is None:
-            e = self.configs.setdefault(m, _from_antichain(frozenset(map(self.clause, m))))
+            e = self.configs.setdefault(m, self.numbering.decode(m))
             self.masks[e] = m
         return e
-
-    def clause(self, c: int) -> Clause:
-        """The state names of a clause mask, one object per clause."""
-        names = self.clauses.get(c)
-        if names is None:
-            name = self.name
-            members = []
-            rest = c
-            while rest:
-                low = rest & -rest
-                members.append(name[low])
-                rest ^= low
-            names = self.clauses[c] = frozenset(members)
-        return names
 
     def image(self, c: int, label: str) -> _Masks:
         """The meet of the targets of clause ``c``'s members under ``label``."""
@@ -138,15 +94,10 @@ class _MaskKernel:
         img = images.get(c)
         if img is None:
             img = _TOP_MASKS
-            rest = c
-            while rest and img:  # bottom absorbs the remaining members
-                low = rest & -rest
-                t = self.encode(self.transitions[self.name[low]][label])
-                if img is _TOP_MASKS:
-                    img = t
-                elif 0 not in t:  # top is the meet's unit
-                    img = _mask_antichain({a | b for a in img for b in t})
-                rest ^= low
+            for q in self.numbering.clause(c):
+                img = _mask_meet(img, self.encode(self.transitions[q][label]))
+                if not img:  # bottom absorbs the remaining members
+                    break
             if len(img) <= _IMAGE_MEMO_MAX_CLAUSES:
                 images[c] = img
         return img
@@ -180,32 +131,21 @@ class AIA:
     immutable and all operations on them are pure.
 
     The one piece of internal state is the mask kernel, built on first
-    use so that constructing an automaton costs nothing extra.  It numbers
-    the states in sorted-name order (see the module docstring), encodes
-    each transition target as a mask antichain when a step first needs
-    it, and holds three memos.  The step memo maps ``(mask antichain,
-    label)`` to the successor, so every search over the same automaton
-    (determinization, tester, refinement, membership) computes each step
-    once.  Beneath it, the clause-image memo maps, per label, a clause
-    mask to the meet of its members' targets when that meet has at most
-    ``_IMAGE_MEMO_MAX_CLAUSES`` clauses: a step replaces each state by its
-    target and renormalizes, so its successor is the join of the images
-    of the configuration's clauses, and a configuration never stepped
-    before still reuses its clauses' work.  Clause images are internal
-    to the kernel; :func:`induce_ia` is their only other reader.  The
-    boundary memo converts between mask antichains and name-based
-    configurations both ways, keyed by value; it is seeded with
-    ``initial`` and decodes each mask antichain once, without
-    re-canonicalizing, since a mask antichain is canonical already.  So
-    :meth:`step` and :func:`~altia.search.reachable`, which decode
-    through it, give equal successors one shared object, also for a
-    configuration built apart from the automaton, and lookups in the
-    determinization table hit by identity first.  All memos are freed
-    with the automaton.  They cache pure functions of the immutable
-    transitions, and the bit numbering depends on the state names alone:
-    a race between threads can at worst build two kernels, compute a
-    successor or an image twice, or keep two equal objects, and equal
-    objects still compare equal.
+    use.  It keeps one lattice numbering of the declared states, which
+    never grows, so a configuration with an undeclared state is refused
+    with :class:`~altia.errors.ModelError`, and three memos: the step
+    memo by ``(mask antichain, label)``, so every search over the
+    automaton computes each step once; per label, the images (the meet of
+    the members' targets) of clauses, when of at most
+    ``_IMAGE_MEMO_MAX_CLAUSES`` clauses, since a successor is the join of
+    its clauses' images; and the boundary memo between mask antichains
+    and ``Config``, keyed by value and seeded with ``initial``, which
+    decodes each mask antichain once, so equal successors are one object,
+    also from a configuration built apart.  All memos are freed with the
+    automaton.  They cache pure functions of the immutable transitions
+    and the state names: a race between threads can at worst build two
+    kernels, compute a successor, an image or a clause's names twice, or
+    keep two equal objects, and equal objects still compare equal.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="aia"):
@@ -289,8 +229,6 @@ class AIA:
 
 def after(s: AIA, e: Config, trace) -> Config:
     """The configuration reached from ``e`` along a label sequence."""
-    if not e.states() <= s.states:
-        raise ModelError(f"configuration uses states not declared in {s.name!r}")
     k = s._masks()
     m = k.encode(e)
     for lab in trace:
@@ -446,7 +384,7 @@ def induce_ia(s: AIA) -> IA:
     def name(c: int) -> str:
         # the clause as a conjunction, rendered unambiguously ("T" for the
         # empty clause, whose state behaves chaotically)
-        return "&".join(map(quote_name, sorted(k.clause(c)))) or "T"
+        return "&".join(map(quote_name, sorted(k.numbering.clause(c)))) or "T"
 
     init = k.encode(s.initial)
     search = Search(init)

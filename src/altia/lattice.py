@@ -14,18 +14,15 @@ antichain (no clause contains another).  That form is unique per lattice
 element, so ``==`` on clause sets decides lattice equality.  Clause order
 is computed only where text is produced (:func:`sorted_clauses`).
 
-This name-based form is the public boundary.  Exploration does not run
-on it: each automaton numbers its states once and steps *mask
-antichains*, a clause being an ``int`` with one bit per member (see
-:mod:`altia.aia`).  Clause images and steps are computed on masks only.
-Conversion happens only in the automaton's boundary memo, which encodes
-a configuration given to ``AIA.step`` or ``after`` and decodes each
-successor once, through an unchecked constructor, since a mask antichain
-is canonical already; ``induce_ia`` reads the member names of a clause
-mask from the same kernel.  The operations below (:func:`meet_all`,
-:func:`join_all`, :func:`substitute`, ...) are not on that path: they
-build configurations for parsing, composition, translation and
-state renaming.
+This name-based form is the public boundary.  Every operation computes
+on *mask antichains*: a numbering of the operands' state names turns a
+clause into the ``int`` with one bit per member, so ``k & m == k`` tests
+containment, and a configuration into the frozenset of its clause masks.
+Absorption (``_mask_antichain``) and meet (``_mask_meet``) are defined
+once, on masks, and results are decoded unchecked, since a mask
+antichain is canonical already.  Each automaton keeps one numbering of
+its own states and steps mask antichains with the same two functions
+(see :mod:`altia.aia`).
 
 There is no global table of instances: an automaton's boundary memo
 gives its own equal successors one object.  All values are immutable
@@ -51,17 +48,77 @@ class Kind(Enum):
     COMPOUND = "compound"
 
 
-def _minimize(clauses: Iterable[Clause]) -> frozenset[Clause]:
-    # Absorption: a clause that contains another clause is redundant.  Two
-    # distinct clauses of equal size cannot absorb each other, so each size
-    # class is tested only against the strictly smaller clauses kept so far.
-    by_size: dict[int, set[Clause]] = {}
-    for c in clauses:
-        by_size.setdefault(len(c), set()).add(c)
-    kept: list[Clause] = []
-    for size in sorted(by_size):
-        kept.extend([c for c in by_size[size] if not any(k <= c for k in kept)])
+_Masks = frozenset[int]  # a mask antichain: clause masks, none containing another
+_TOP_MASKS: _Masks = frozenset((0,))
+
+
+def _mask_antichain(masks: set[int]) -> _Masks:
+    """The masks of ``masks`` that contain no other one (absorption).
+
+    Two distinct masks with equal bit counts cannot contain each other, so
+    each bit-count class is tested only against the strictly smaller masks
+    kept so far, and a set of one class is an antichain as it stands.
+    """
+    if len(masks) <= 1:
+        return frozenset(masks)
+    ordered = sorted(masks, key=int.bit_count)
+    n = ordered[0].bit_count()
+    if ordered[-1].bit_count() == n:
+        return frozenset(masks)
+    kept: list[int] = []
+    smaller: tuple[int, ...] = ()  # the kept masks with fewer bits than m
+    for m in ordered:
+        if m.bit_count() != n:
+            n = m.bit_count()
+            smaller = tuple(kept)
+        for k in smaller:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
     return frozenset(kept)
+
+
+def _mask_meet(a: _Masks, b: _Masks) -> _Masks:
+    """The meet of two mask antichains, with top ``{0}`` as its unit."""
+    if 0 in b:
+        return a
+    if 0 in a:
+        return b
+    return _mask_antichain({x | y for x in a for y in b})
+
+
+class _Numbering:
+    """A fixed set of state names as bits, which never grows: encoding any
+    other name raises ``KeyError``.  Decoding reuses the clause frozensets
+    that were encoded and decodes any other clause mask once."""
+
+    __slots__ = ("bit", "clauses")
+
+    def __init__(self, names: Iterable[str]):
+        self.bit = {q: 1 << i for i, q in enumerate(names)}
+        self.clauses: dict[int, Clause] = {}  # clause mask -> member names
+
+    def encode(self, clauses: Iterable[Clause]) -> frozenset[int]:
+        """The masks of ``clauses``, an antichain if ``clauses`` is one."""
+        known, bit = self.clauses, self.bit.__getitem__
+        masks = set()
+        for c in clauses:
+            m = sum(map(bit, c))
+            known.setdefault(m, c)
+            masks.add(m)
+        return frozenset(masks)
+
+    def clause(self, m: int) -> Clause:
+        """The state names of a clause mask, one object per clause."""
+        names = self.clauses.get(m)
+        if names is None:
+            names = self.clauses[m] = frozenset(q for q, b in self.bit.items() if m & b)
+        return names
+
+    def decode(self, masks: Iterable[int]) -> Config:
+        """The configuration of a mask antichain, without re-canonicalizing."""
+        return _from_antichain(frozenset(map(self.clause, masks)))
 
 
 class Config:
@@ -76,7 +133,9 @@ class Config:
     __slots__ = ("clauses", "_hash")
 
     def __new__(cls, clauses: Iterable[Iterable[str]]):
-        return _from_antichain(_minimize(frozenset(c) for c in clauses))
+        clauses = [frozenset(c) for c in clauses]
+        numbering = _Numbering(frozenset().union(*clauses))
+        return numbering.decode(_mask_antichain(numbering.encode(clauses)))
 
     @property
     def is_top(self) -> bool:
@@ -120,8 +179,6 @@ class Config:
 
 def _from_antichain(clauses: frozenset[Clause]) -> Config:
     # The unchecked constructor: ``clauses`` must already be an antichain.
-    # An automaton's mask kernel decodes through it, since a mask antichain
-    # is canonical by construction (see altia.aia).
     self = object.__new__(Config)
     self.clauses = clauses
     self._hash = hash(clauses)
@@ -155,7 +212,7 @@ def join(a: Config, b: Config) -> Config:
 
 def meet(a: Config, b: Config) -> Config:
     """Conjunction of two configurations (pairwise clause unions)."""
-    return Config(c1 | c2 for c1 in a.clauses for c2 in b.clauses)
+    return meet_all((a, b))
 
 
 def join_all(items: Iterable[Config]) -> Config:
@@ -168,10 +225,14 @@ def join_all(items: Iterable[Config]) -> Config:
 
 def meet_all(items: Iterable[Config]) -> Config:
     """Conjunction of finitely many configurations; empty gives top."""
-    out = None
-    for e in items:  # top and e is e: a lone operand is returned as it is
-        out = e if out is None else meet(out, e)
-    return _TOP if out is None else out
+    operands = list(items)
+    if len(operands) == 1:  # top and e is e: a lone operand is returned as it is
+        return operands[0]
+    numbering = _Numbering(frozenset().union(*(c for e in operands for c in e.clauses)))
+    out = _TOP_MASKS
+    for e in operands:  # each operand's clauses are an antichain, so are their masks
+        out = _mask_meet(out, numbering.encode(e.clauses))
+    return numbering.decode(out)
 
 
 def substitute(e: Config, f: Mapping[str, Config]) -> Config:

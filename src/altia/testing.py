@@ -59,8 +59,6 @@ class Tester:
     """
 
     ia: IA
-    pass_state: str = PASS
-    fail_state: str = FAIL
 
     def __post_init__(self):
         problems = tester_problems(self)
@@ -96,7 +94,7 @@ def tester_problems(t: Tester) -> list[str]:
     problems = []
     if len(s.initial) != 1:
         problems.append("tester must have exactly one initial state")
-    for v in (t.pass_state, t.fail_state):
+    for v in (PASS, FAIL):
         if v not in s.states:
             problems.append(f"verdict state {v!r} missing")
             continue
@@ -232,9 +230,9 @@ def verdict_exhaustive(t: Tester, i: IA) -> Verdict:
     _check_compatible(t, i)
     search = Search((t.initial, qi) for qi in sorted(i.initial))
     for idx, (qt, qi) in search:
-        if qt == t.fail_state:
+        if qt == FAIL:
             return Verdict(False, _labels_to_ftrace(search.path(idx), i.inputs))
-        if qt == t.pass_state:
+        if qt == PASS:
             continue
         for label, succs in _product_moves(t, i, qt, qi):
             for nxt in succs:
@@ -258,9 +256,9 @@ def run_random(t: Tester, i: IA, seed: int, max_steps: int = 100) -> Verdict:
     log: list[tuple[int, str, str, str]] = []
     steps = 0
     while True:
-        if qt == t.fail_state:
+        if qt == FAIL:
             return Verdict(False, _labels_to_ftrace(labels, i.inputs), log)
-        if qt == t.pass_state:
+        if qt == PASS:
             return Verdict(True, None, log)
         if steps >= max_steps:
             return Verdict(True, None, log, note="max-steps")
@@ -459,7 +457,7 @@ def is_test_case(t: Tester) -> bool:
         offered = {a for a in t.stimuli if s.succ(q, a)}
         if len(offered) > 1:
             return False
-    verdicts = {t.pass_state, t.fail_state}
+    verdicts = {PASS, FAIL}
     graph = {
         q: {r for targets in s.transitions.get(q, {}).values() for r in targets} - verdicts
         for q in s.states - verdicts

@@ -356,7 +356,7 @@ def test_mask_antichain_matches_brute_force():
     # met before its subset is then kept
     from itertools import product
 
-    from altia.aia import _mask_antichain
+    from altia.lattice import _mask_antichain
 
     rng = SplitMix64(13)
     for _ in range(500):
@@ -375,10 +375,11 @@ def test_mask_antichain_matches_brute_force():
     k = s._masks()
     succ = k.step(k.encode(s.initial), "x")
     picks = product(*((f"a{i}", f"b{i}") for i in range(10)))
-    raw = {sum(k.bit[q] for q in pick) for pick in picks}
+    bit = k.numbering.bit
+    raw = {sum(bit[q] for q in pick) for pick in picks}
     assert len(succ) == 1024 and succ == _brute_antichain(raw)
     # supersets of some of those clauses are absorbed
-    wider = {m | k.bit["p0"] for m in sorted(raw)[::7]} | {m | k.bit["a0"] | k.bit["b0"] for m in raw}
+    wider = {m | bit["p0"] for m in sorted(raw)[::7]} | {m | bit["a0"] | bit["b0"] for m in raw}
     assert _mask_antichain(raw | wider) == succ
 
 
@@ -390,8 +391,13 @@ def test_step_encodes_configurations_built_apart():
     apart = meet(embed("q"), embed("p"))
     assert apart == s.initial and apart is not s.initial
     assert s.step(apart, "x") is s.step(s.initial, "x")
-    # an undeclared state is still refused before any encoding
+    # an undeclared state is refused, and the numbering of the states does
+    # not grow by it
+    bits = dict(s._masks().numbering.bit)
+    with pytest.raises(ModelError):
+        s.step(embed("zz") | embed("p"), "x")
     with pytest.raises(ModelError):
         after(s, embed("zz") | embed("p"), parse_trace("!x").body)
     with pytest.raises(ModelError):
         after(s, embed("zz"), ())
+    assert s._masks().numbering.bit == bits

@@ -231,6 +231,11 @@ def test_dot_output(widget, machine, scenario):
 def test_dot_top_node_only_for_top_edges():
     m = IA({"s__top"}, {"a"}, {"x"}, {"s__top": {"x": {"s__top"}}}, {"s__top"})
     assert "shape=none" not in to_dot(m)
+    # an initial configuration T points at the top node
+    from altia import aia_top
+
+    dot = to_dot(aia_top(("a",), ("x",)))
+    assert '__top [shape=none,label="T"]' in dot and "__init0 -> __top;" in dot
 
 
 def test_dot_deterministic(machine):

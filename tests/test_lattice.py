@@ -19,7 +19,7 @@ from altia.lattice import (
 )
 from altia.rng import SplitMix64
 
-from oracles import rand_expr
+from oracles import rand_config, rand_expr
 
 q1, q2, q3 = embed("q1"), embed("q2"), embed("q3")
 
@@ -134,6 +134,33 @@ def test_minimize_matches_brute_force_antichain():
         expected = _antichain(frozenset().union(*choice) for choice in product(*factors))
         assert e.clauses == expected
     assert len(meet_all(Config([{f"a{i}"}, {f"b{i}"}]) for i in range(10)).clauses) == 1024
+
+
+def _substitute(e, f):
+    # brute force: each clause becomes the pairwise unions of its members'
+    # images' clauses, then absorption; no lattice operation is used
+    out = set()
+    for clause in e.clauses:
+        unions = {frozenset()}
+        for q in clause:
+            unions = {u | d for u in unions for d in f[q].clauses}
+        out |= unions
+    return _antichain(out)
+
+
+def test_substitute_matches_brute_force():
+    # the reference for the automata's steps, which share substitute's meet
+    rng = SplitMix64(12)
+    gens = ["q1", "q2", "q3", "q4", "q5", "q6"]
+    images = gens + ["r1", "r2"]
+    wide = 0
+    for _ in range(300):
+        e = rand_expr(rng, gens, depth=5)
+        f = {q: rand_config(rng, images) for q in gens}
+        got = substitute(e, f)
+        assert got.clauses == _substitute(e, f)
+        wide += len(got.clauses) > 1
+    assert wide >= 50
 
 
 names = st.sampled_from(["q1", "q2", "q3", "q4", "q5", "q6"])

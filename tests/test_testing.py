@@ -238,6 +238,20 @@ def test_run_random_log_format(machine, faulty_tea):
         assert int(step) == lineno
 
 
+def test_run_random_endings(scenario, good_machine):
+    # a run of a test case ends at pass; a tester offering no stimulus to
+    # an implementation that offers no output ends inconclusive
+    from altia import AIA
+    from altia.lattice import embed
+
+    v = run_random(build_tester(scenario), good_machine, seed=0, max_steps=40)
+    assert v.passed and v.note is None and v.log[-1][2] == "pass"
+    spec = AIA({"p"}, {"a"}, {"x"}, {"p": {"x": embed("p")}}, embed("p"))
+    quiet = IA({"d"}, {"a"}, {"x"}, {}, {"d"})
+    v = run_random(build_tester(spec), quiet, seed=0)
+    assert v.passed and v.note == "inconclusive" and not v.log
+
+
 # ------------------------------------------------------- singular specs
 
 def test_gen_singular_reproduces_scenario(machine, scenario):
@@ -348,9 +362,28 @@ def test_is_test_case_examples(machine, scenario):
 
 
 def test_is_singular_for_examples(machine, scenario, widget):
+    from altia import AIA, aia_top
+    from altia.lattice import embed, top
+
     assert is_singular_for(scenario, machine)
     assert not is_singular_for(machine, machine)   # cycles: not a trace tree
     assert not is_singular_for(scenario, widget)   # different alphabets
+    # against a spec constraining both inputs and the output at p
+    spec = AIA({"p"}, {"a", "b"}, {"x"}, {"p": {"a": embed("p"), "b": embed("p"), "x": embed("p")}},
+               embed("p"))
+
+    def tree(rows, init=embed("n0")):
+        rows = {q: {"x": top(), **row} for q, row in rows.items()}
+        return AIA(set(rows), spec.inputs, spec.outputs, rows, init)
+
+    assert is_singular_for(tree({"n0": {}}), spec)
+    assert not is_singular_for(tree({"n0": {}}), aia_top(spec.inputs, spec.outputs))
+    assert not is_singular_for(tree({"n0": {}, "n1": {}}, embed("n0") | embed("n1")), spec)
+    shared = tree({"n0": {"a": embed("n1"), "x": embed("n1")}, "n1": {}})
+    assert not is_singular_for(shared, spec)
+    two_inputs = tree({"n0": {"a": embed("n1"), "b": embed("n2")}, "n1": {}, "n2": {}})
+    assert not is_singular_for(two_inputs, spec)
+    assert is_singular_for(tree({"n0": {"a": embed("n1")}, "n1": {}}), spec)
 
 
 def test_is_singular_rejects_overconstrained(machine):

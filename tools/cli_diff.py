@@ -1,0 +1,134 @@
+"""Compare the altia command line of this tree against another revision.
+
+Usage: python tools/cli_diff.py BASE_REV
+
+Checks ``BASE_REV`` out with ``git worktree`` into a temporary directory
+and runs one fixed command set over the models in ``models/`` in both
+trees, one ``python -m altia`` process per command.  Both trees read the
+same copy of this tree's ``models/``, so only the program differs.  The
+set has 396 commands for the nine models:
+
+- per model: ``check``, ``det`` to stdout and to a file, ``tester`` to a
+  file, ``to-ia``, ``to-aia``, ``dot`` and ``testgen``;
+- per ordered pair of models: ``refine --json`` and ``compose --and``;
+- per tester and ``.ia`` model: ``run --exhaustive --json``, ``run --json``
+  and ``run --runs 3 --json``.
+
+Any difference in stdout, stderr, exit code or written files is
+reported, and the exit code is then 1; it is 0 when the trees agree.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def commands(models: list[str]) -> list[list[str]]:
+    """The command set, each command as altia's arguments, with paths
+    relative to a work directory holding ``models/``."""
+    stems = [Path(m).stem for m in models]
+    cmds = []
+    for m, stem in zip(models, stems):
+        cmds += [
+            ["check", m],
+            ["det", m, "-o", f"out/det_{stem}.txt"],
+            ["det", m],
+            ["tester", m, "-o", f"testers/{stem}.ia"],
+            ["to-ia", m],
+            ["to-aia", m],
+            ["dot", m],
+            ["testgen", m, "-o", f"gen/{stem}"],
+        ]
+    for left in models:
+        for right in models:
+            cmds += [["refine", "--json", left, right], ["compose", "--and", left, right]]
+    impls = [m for m in models if m.endswith(".ia")]
+    for stem in stems:
+        for impl in impls:
+            tester = f"testers/{stem}.ia"
+            cmds += [
+                ["run", "--exhaustive", "--json", tester, impl],
+                ["run", "--json", tester, impl],
+                ["run", "--runs", "3", "--json", tester, impl],
+            ]
+    return cmds
+
+
+def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, str, str]]:
+    """Run every command with ``tree``'s altia in ``work``; the tree's own
+    path is masked in the output so that tracebacks compare alike."""
+    (work / "models").mkdir(parents=True)
+    for f in sorted((REPO / "models").iterdir()):
+        (work / "models" / f.name).write_bytes(f.read_bytes())
+    for d in ("out", "testers", "gen"):
+        (work / d).mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    results = []
+    for cmd in cmds:
+        p = subprocess.run(
+            [sys.executable, "-m", "altia", *cmd],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+        stdout, stderr = (text.replace(str(tree), "<tree>") for text in (p.stdout, p.stderr))
+        results.append((p.returncode, stdout, stderr))
+    return results
+
+
+def files(work: Path) -> dict[str, bytes]:
+    """Every file under ``work`` by its relative path."""
+    return {str(p.relative_to(work)): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+
+
+def first_difference(a: str, b: str) -> str:
+    for k, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
+        if x != y:
+            return f"line {k}: {x!r} != {y!r}"
+    return f"{len(a.splitlines())} lines != {len(b.splitlines())} lines"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/cli_diff.py BASE_REV", file=sys.stderr)
+        return 2
+    base_rev = argv[0]
+    models = [f"models/{f.name}" for f in sorted((REPO / "models").iterdir())]
+    cmds = commands(models)
+    with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
+        base = Path(tmp) / "base"
+        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
+                        str(base), base_rev], check=True)
+        try:
+            results = {}
+            for side, tree in (("base", base), ("this", REPO)):
+                results[side] = run_all(tree, Path(tmp) / f"work_{side}", cmds)
+            written = {side: files(Path(tmp) / f"work_{side}") for side in results}
+        finally:
+            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(base)],
+                           check=True)
+    differences = 0
+    for cmd, old, new in zip(cmds, results["base"], results["this"]):
+        for what, k in (("exit code", 0), ("stdout", 1), ("stderr", 2)):
+            if old[k] != new[k]:
+                differences += 1
+                detail = f"{old[k]} != {new[k]}" if k == 0 else first_difference(old[k], new[k])
+                print(f"altia {' '.join(cmd)}: {what} differs, {detail}")
+    for name in sorted(written["base"].keys() | written["this"].keys()):
+        old, new = written["base"].get(name), written["this"].get(name)
+        if old != new:
+            differences += 1
+            if old is None or new is None:
+                print(f"file {name}: only in {'this tree' if old is None else 'base'}")
+            else:
+                print(f"file {name}: differs")
+    print(f"{len(cmds)} commands against {base_rev}: {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
