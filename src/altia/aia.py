@@ -13,9 +13,9 @@ the public boundary only.  Inside, each automaton steps the lattice's
 *mask antichains* over one numbering of its states (see
 :mod:`altia.lattice`): bottom is the empty set and top ``{0}``, the
 empty clause.  A clause's image under a label, the meet of its members'
-targets, exists only there: :meth:`AIA.step` joins clause images, and
-:func:`induce_ia` searches clauses by their images, without converting
-to ``Config``.
+targets, exists only there: :meth:`AIA.step` joins clause images,
+:func:`induce_ia` searches clauses by them, and the kernel names mask
+antichains, so no search that writes states converts to ``Config``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .lattice import (
     _mask_antichain,
     _mask_meet,
     _Numbering,
+    _render,
     bot,
     embed,
     join_all,
@@ -87,6 +88,10 @@ class _MaskKernel:
             e = self.configs.setdefault(m, self.numbering.decode(m))
             self.masks[e] = m
         return e
+
+    def name(self, m) -> str:
+        """The expression string of the mask antichain ``m`` (see expr_str)."""
+        return _render(map(self.numbering.clause, m), quote_name)
 
     def image(self, c: int, label: str) -> _Masks:
         """The meet of the targets of clause ``c``'s members under ``label``."""
@@ -380,12 +385,6 @@ def induce_ia(s: AIA) -> IA:
     mask kernel.
     """
     k = s._masks()
-
-    def name(c: int) -> str:
-        # the clause as a conjunction, rendered unambiguously ("T" for the
-        # empty clause, whose state behaves chaotically)
-        return "&".join(map(quote_name, sorted(k.numbering.clause(c)))) or "T"
-
     init = k.encode(s.initial)
     search = Search(init)
     trans: dict[str, dict[str, set[str]]] = {}
@@ -397,15 +396,15 @@ def induce_ia(s: AIA) -> IA:
             if label in s.inputs:
                 succs = succs - _TOP_MASKS
             if succs:
-                row[label] = set(map(name, succs))
+                row[label] = {k.name((d,)) for d in succs}
                 for d in succs:
                     search.push(d)
-        trans[name(c)] = row
+        trans[k.name((c,))] = row
     return IA(
         set(trans),
         s.inputs,
         s.outputs,
         trans,
-        set(map(name, init)),
+        {k.name((c,)) for c in init},
         name=f"ia({s.name})",
     )

@@ -11,15 +11,18 @@ reaches.
 from __future__ import annotations
 
 from .aia import AIA
-from .lattice import Config, Kind, bot, classify, embed, expr_str, top
+from .lattice import _TOP_MASKS, bot, embed, top
 from .search import DEFAULT_CAP, reachable
 
 
 def check_deterministic(s: AIA, cap: int = DEFAULT_CAP) -> bool:
     """Whether every reachable configuration is top, bottom or one state."""
-    if classify(s.initial) is Kind.COMPOUND:
-        return False
-    return all(classify(e) is not Kind.COMPOUND for e in reachable(s, cap))
+
+    def simple(m) -> bool:  # no clause, or one of at most one state bit
+        return len(m) <= 1 and all(c & (c - 1) == 0 for c in m)
+
+    # a compound initial configuration fails before any search
+    return simple(s._masks().encode(s.initial)) and all(map(simple, reachable(s, cap)))
 
 
 def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
@@ -32,29 +35,20 @@ def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
     deterministic and has the same input-failure traces as ``s``.
     """
     reach = reachable(s, cap)
-    # each configuration is named and embedded once, and the det table
-    # shares that one state object; the successors in the table are the
-    # automaton's canonical objects, so these lookups hit by identity
-    names = {e: expr_str(e) for e in reach}
-    singles = {e: embed(name) for e, name in names.items()}
-
-    def promote(e: Config) -> Config:
-        k = classify(e)
-        if k is Kind.TOP:
-            return top()
-        if k is Kind.BOT:
-            return bot()
-        return singles[e]
-
+    k = s._masks()
+    # each configuration is named and embedded once, as one shared state
+    names = {m: k.name(m) for m in reach}
+    states = {m: embed(name) for m, name in names.items()}
+    states.update({_TOP_MASKS: top(), frozenset(): bot()})
     trans = {
-        names[e]: {label: promote(t) for label, t in row.items()}
-        for e, row in reach.items()
+        names[m]: {label: states[t] for label, t in row.items()}
+        for m, row in reach.items()
     }
     return AIA(
         names.values(),
         s.inputs,
         s.outputs,
         trans,
-        promote(s.initial),
+        states[k.encode(s.initial)],
         name=f"det({s.name})",
     )

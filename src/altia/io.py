@@ -390,7 +390,10 @@ def print_model(m: Union[IA, AIA]) -> str:
 
 def load_model(path) -> Union[IA, AIA]:
     with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            return parse_model(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def save_model(path, m: Union[IA, AIA]) -> None:
@@ -428,7 +431,7 @@ def to_dot(m: Union[IA, AIA]) -> str:
         if cfg.is_top:
             lines.append(f"  {prefix} -> {helper}top [label={_dot_id(label_text)}];")
             return lines
-        for clause in sorted_clauses(cfg):
+        for clause in sorted_clauses(cfg.clauses):
             if len(clause) == 1:
                 lines.append(
                     f"  {prefix} -> {_dot_id(clause[0])} [label={_dot_id(label_text)}];"

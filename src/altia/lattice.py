@@ -11,8 +11,8 @@ disjunctive normal form: a frozenset of clauses, each clause a frozenset
 of state names.  A clause stands for the conjunction of its members, the
 clause set for the disjunction of its clauses, and the set is kept as an
 antichain (no clause contains another).  That form is unique per lattice
-element, so ``==`` on clause sets decides lattice equality.  Clause order
-is computed only where text is produced (:func:`sorted_clauses`).
+element, so ``==`` on clause sets decides lattice equality.  Clauses are
+ordered (:func:`sorted_clauses`) only where text is written, by one writer.
 
 This name-based form is the public boundary.  Every operation computes
 on *mask antichains*: a numbering of the operands' state names turns a
@@ -171,7 +171,7 @@ class Config:
         return meet(self, other)
 
     def __str__(self):
-        return _render(self, str)
+        return _render(self.clauses, str)
 
     def __repr__(self):
         return f"Config({str(self)!r})"
@@ -276,16 +276,18 @@ def quote_name(name: str) -> str:
     return f'"{escaped}"'
 
 
-def sorted_clauses(e: Config) -> list[list[str]]:
-    """The clauses of ``e`` as sorted name lists, in sorted order: the one
-    order in which ``str``, :func:`expr_str` and Graphviz write it out."""
-    return sorted(sorted(c) for c in e.clauses)
+def sorted_clauses(clauses: Iterable[Clause]) -> list[list[str]]:
+    """Clauses as sorted name lists, in sorted order: the one order in
+    which ``str``, :func:`expr_str`, state names and Graphviz write them."""
+    return sorted(sorted(c) for c in clauses)
 
 
-def _render(e: Config, name: Callable[[str], str]) -> str:
-    if e.is_bot or e.is_top:
-        return "F" if e.is_bot else "T"
-    return " | ".join("&".join(map(name, clause)) for clause in sorted_clauses(e))
+def _render(clauses: Iterable[Clause], name: Callable[[str], str]) -> str:
+    # the one writer of configurations: "F" for no clause, "T" for the empty one
+    clauses = sorted_clauses(clauses)
+    if clauses in ([], [[]]):
+        return "T" if clauses else "F"
+    return " | ".join("&".join(map(name, clause)) for clause in clauses)
 
 
 def expr_str(e: Config) -> str:
@@ -295,4 +297,4 @@ def expr_str(e: Config) -> str:
     as operators or constants, so distinct configurations never render
     alike; used for file output and for naming synthesized states.
     """
-    return _render(e, quote_name)
+    return _render(e.clauses, quote_name)

@@ -14,11 +14,9 @@ shortest label sequence.
 
 Configurations are searched as mask antichains, the integer form each
 automaton steps internally (see :mod:`altia.aia`): :func:`reachable`
-encodes the initial configuration, explores and steps masks only, and
-decodes the finished table through the automaton's boundary memo, so
-callers see name-based :class:`~altia.lattice.Config` values and equal
-successors as one object.  ``refine.leq_aia`` searches pairs of mask
-antichains the same way.
+encodes the initial configuration and explores, steps and returns masks
+only.  Its callers name, relabel or test the masks; none decodes them.
+``refine.leq_aia`` searches pairs of mask antichains the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import ExplorationLimitError
-from .lattice import Config
+from .lattice import _Masks
 
 DEFAULT_CAP = 100_000
 
@@ -77,8 +75,8 @@ class Search:
         return tuple(reversed(out))
 
 
-def reachable(s, cap: int = DEFAULT_CAP) -> dict[Config, dict[str, Config]]:
-    """The determinization table of an alternating automaton ``s``.
+def reachable(s, cap: int = DEFAULT_CAP) -> dict[_Masks, dict[str, _Masks]]:
+    """The determinization table of ``s`` on its kernel's mask antichains.
 
     Maps every nontrivial (neither top nor bottom) configuration
     reachable from the initial one to its successor row, one entry per
@@ -98,5 +96,4 @@ def reachable(s, cap: int = DEFAULT_CAP) -> dict[Config, dict[str, Config]]:
             if t and 0 not in t:  # neither bottom nor top
                 search.push(t)
         table[e] = row
-    decode = kernel.decode
-    return {decode(e): {l: decode(t) for l, t in row.items()} for e, row in table.items()}
+    return table

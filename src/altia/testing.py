@@ -27,7 +27,7 @@ from . import ia as _ia
 from .aia import AIA, aia_bot, aia_top
 from .errors import AlphabetError, ModelError
 from .ia import IA, FTrace, Label, inp
-from .lattice import Config, Kind, bot, classify, embed, expr_str, top
+from .lattice import _TOP_MASKS, Config, Kind, bot, classify, embed, top
 from .rng import SplitMix64
 from .search import DEFAULT_CAP, Search, reachable
 
@@ -141,29 +141,22 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
         FAIL: {x: {FAIL} for x in s.outputs},
     }
 
-    reach = reachable(s, cap)
-    names = {e: expr_str(e) for e in reach}  # each configuration named once
-
-    def target(e: Config) -> str:
-        k = classify(e)
-        if k is Kind.TOP:
-            return PASS
-        if k is Kind.BOT:
-            return FAIL
-        return names[e]
-
     # The tester relabels the determinization table: observations follow
     # the successor, a constrained stimulus also gets its refusal to fail.
-    for e, succ in reach.items():
-        row = {x: {target(succ[x])} for x in s.outputs}
+    reach = reachable(s, cap)
+    k = s._masks()
+    target = {m: k.name(m) for m in reach}  # each configuration named once
+    target.update({_TOP_MASKS: PASS, frozenset(): FAIL})
+    for m, succ in reach.items():
+        row = {x: {target[succ[x]]} for x in s.outputs}
         for a in s.inputs:
-            if not succ[a].is_top:  # an underspecified input is not tested
-                row[a] = {target(succ[a])}
+            if 0 not in succ[a]:  # an underspecified (top) input is not tested
+                row[a] = {target[succ[a]]}
                 row[refusal(a)] = {FAIL}
-        trans[names[e]] = row
+        trans[target[m]] = row
     t_outputs = set(s.inputs) | {refusal(a) for a in s.inputs}
     return Tester(
-        IA(set(trans), s.outputs, t_outputs, trans, {target(s.initial)},
+        IA(set(trans), s.outputs, t_outputs, trans, {target[k.encode(s.initial)]},
            name=f"tester({s.name})")
     )
 

@@ -183,6 +183,50 @@ def test_induce_ia_chaotic_state():
     assert fcl_member(i2, parse_trace("!x ?a !x !x"))
 
 
+# State names that each need quoting, mixed with plain ones; their
+# sorted order differs from that of their quoted forms.
+AWKWARD = ("T", "F", "a&b", "x y", "~q", '"', "p", "q0")
+
+
+def test_mask_names_render_wide_configurations():
+    # The kernel's names of mask antichains against expr_str of the
+    # configurations, on joins and meets of several draws, so that most
+    # have many clauses, and back through the parser.
+    from altia.io import parse_expr
+    from altia.lattice import expr_str, join_all
+
+    s = AIA(AWKWARD, (), (), {}, top())
+    k = s._masks()
+    rng = SplitMix64(909)
+    wide = 0
+    for _ in range(300):
+        parts = [rand_config(rng, AWKWARD) for _ in range(2 + rng.below(4))]
+        e = (join_all if rng.below(2) else meet_all)(parts)
+        wide += len(e.clauses) >= 3
+        assert k.name(k.encode(e)) == expr_str(e)
+        assert parse_expr(expr_str(e)) == e
+    assert wide >= 120  # 135 of the 300 on this seed
+
+
+def test_induce_ia_names_states_by_their_clause():
+    # Every state of the induced ia is expr_str of one reachable clause,
+    # "T" for the empty one; the clauses are searched here by name.
+    from altia.aia import rename_states
+    from altia.lattice import Config, expr_str
+
+    for s in rand_aia_stepping(SplitMix64(910), 40, n_states=len(AWKWARD)):
+        s = rename_states(s, {q: AWKWARD[int(q[1:])] for q in s.states})
+        seen, todo = set(), list(s.initial.clauses)
+        while todo:
+            c = todo.pop()
+            if c not in seen:
+                seen.add(c)
+                for l in s.labels:
+                    img = meet_all(s.transitions[q][l] for q in c)
+                    todo += [d for d in img.clauses if d or l in s.outputs]
+        assert induce_ia(s).states == {expr_str(Config([c])) for c in seen}
+
+
 def test_induce_ia_preserves_traces_up_to_closure():
     rng = SplitMix64(33)
     words = universe(("a", "b"), ("x", "y"), 4)
@@ -291,7 +335,7 @@ def test_step_is_substitution_semantically():
         states = sorted(s.states)
         table = reachable(s)
         stepping += bool(table)
-        reached = [*table, top(), bot()]
+        reached = [*map(s._masks().decode, table), top(), bot()]
         unreached = [rand_expr(rng, states) for _ in range(100)] if states else []
         unreached = [e for e in unreached if e not in reached]
         for e in reached + unreached:  # the unreached ones meet a filled clause memo
@@ -318,8 +362,9 @@ def test_step_returns_one_object_per_successor():
         table = reachable(s)
         stepping += bool(table)
         one: dict = {}
-        for row in table.values():
-            for t in row.values():
+        for e in map(s._masks().decode, table):
+            for l in sorted(s.labels):
+                t = s.step(e, l)
                 assert one.setdefault(t, t) is t
     assert stepping == 20
 
@@ -337,7 +382,7 @@ def test_step_is_substitution_on_larger_specs():
         states = sorted(s.states)
         table = reachable(s)
         stepping += bool(table)
-        reached = [*table, top(), bot()]
+        reached = [*map(s._masks().decode, table), top(), bot()]
         unreached = [e for e in (rand_expr(rng, states) for _ in range(40)) if e not in reached]
         for e in reached + unreached:
             for l in sorted(s.labels):

@@ -220,6 +220,40 @@ def test_input_error_exit_code(capsys, models_dir, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error:") and "negative" in err
     assert not (tmp_path / "neg").exists()
+    binary = tmp_path / "bin.aia"  # not UTF-8: an input error, not a traceback
+    binary.write_bytes(b"\xff\xfe\n")
+    for argv in (("check", binary), ("run", binary, models_dir / "good_machine.ia")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error:") and "UTF-8" in err
+
+
+def test_degenerate_models_end_cleanly(capsys, tmp_path):
+    # Every subcommand on models with nothing in them, one of them not
+    # text at all, ends with a documented exit code, never a traceback.
+    contents = {
+        "top.aia": b"aia top\nstates\ninputs\noutputs\ninit T\n",
+        "bot.aia": b"aia bot\nstates\ninputs\noutputs\ninit F\n",
+        "empty.ia": b"ia empty\nstates q\ninputs a\noutputs x\ninit\n",
+        "bin.aia": b"\xff\xfe\n",
+    }
+    models = [tmp_path / name for name in contents]
+    for m in models:
+        m.write_bytes(contents[m.name])
+    codes = []
+    for k, m in enumerate(models):
+        tester = tmp_path / f"tester{k}.ia"
+        runs = [("check", m), ("det", m), ("to-ia", m), ("to-aia", m), ("dot", m),
+                ("tester", m, "-o", tester), ("testgen", m, "-o", tmp_path / f"gen{k}")]
+        runs += [("member", m, "--trace", t, *j)
+                 for t in ("", "?a", "~a") for j in ((), ("--json",))]
+        for other in models:
+            runs += [("refine", "--json", m, other), ("compose", "--and", m, other),
+                     ("run", "--exhaustive", m, other), ("run", "--json", tester, other)]
+        for argv in runs:
+            code, _, err = run_cli(capsys, *argv)
+            assert code in (0, 1) or (code in (2, 3) and err.startswith("error:")), argv
+            codes.append(code)
+    assert len(codes) == 4 * (13 + 4 * 4) and set(codes) == {0, 1, 2}
 
 
 def test_cap_exit_code(capsys, models_dir):

@@ -1,6 +1,7 @@
 import pytest
 
 from altia import (
+    AIA,
     aia_top,
     after_trace,
     build_tester,
@@ -70,6 +71,11 @@ def test_det_is_deterministic(widget, machine):
     assert check_deterministic(det(widget))
     assert check_deterministic(det(machine))
     assert check_deterministic(aia_top(("a",), ("x",)))
+    # a conjunction of states is one clause, but not one state
+    both = embed("q") & embed("r")
+    assert not check_deterministic(AIA("pqr", (), ("x",), {"p": {"x": both}}, embed("p")))
+    # a compound initial configuration fails before any search, under any cap
+    assert not check_deterministic(AIA("qr", (), ("x",), {}, both), cap=0)
 
 
 def test_det_of_deterministic_is_reachable_part(scenario):
@@ -165,7 +171,8 @@ def test_tester_relabels_det_table():
     for s in rand_aia_stepping(SplitMix64(44), 20, n_states=4):
         table = reachable(s)
         stepping += bool(table)
-        assert build_tester(s).ia.states == {expr_str(e) for e in table} | {"pass", "fail"}
+        names = {expr_str(e) for e in map(s._masks().decode, table)}
+        assert build_tester(s).ia.states == names | {"pass", "fail"}
     assert stepping == 20
 
 

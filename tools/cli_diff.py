@@ -6,10 +6,13 @@ Checks ``BASE_REV`` out with ``git worktree`` into a temporary directory
 and runs one fixed command set over the models in ``models/`` in both
 trees, one ``python -m altia`` process per command.  Both trees read the
 same copy of this tree's ``models/``, so only the program differs.  The
-set has 396 commands for the nine models:
+set has 522 commands for the nine models:
 
 - per model: ``check``, ``det`` to stdout and to a file, ``tester`` to a
   file, ``to-ia``, ``to-aia``, ``dot`` and ``testgen``;
+- per model and trace of ``MEMBER_TRACES``: ``member``, plain and with
+  ``--json`` (a trace outside a model's alphabet is an input error, and
+  its message is compared too);
 - per ordered pair of models: ``refine --json`` and ``compose --and``;
 - per tester and ``.ia`` model: ``run --exhaustive --json``, ``run --json``
   and ``run --runs 3 --json``.
@@ -28,6 +31,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
+# Traces for ``member``: allowed ones print the reached configuration.
+MEMBER_TRACES = ("", "?a", "?on", "?on ?b", "?on ?b !t+m", "?on ~b", "?a !x")
+
 
 def commands(models: list[str]) -> list[list[str]]:
     """The command set, each command as altia's arguments, with paths
@@ -45,6 +51,8 @@ def commands(models: list[str]) -> list[list[str]]:
             ["dot", m],
             ["testgen", m, "-o", f"gen/{stem}"],
         ]
+        for trace in MEMBER_TRACES:
+            cmds += [["member", m, "--trace", trace], ["member", m, "--trace", trace, "--json"]]
     for left in models:
         for right in models:
             cmds += [["refine", "--json", left, right], ["compose", "--and", left, right]]
