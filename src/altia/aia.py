@@ -43,11 +43,13 @@ from .lattice import (
 from .search import Search
 
 # Clause images with more clauses than this are recomputed, not memoised:
-# they are seldom met again and would hold most of the memo's memory.  On
-# det(rand_aia(SplitMix64(4), n_states=30), cap=3000) keeping every image
-# took peak memory from 326 MB to 2452 MB, and this bound to 530 MB.  Small
-# specs lose nothing: det of 16 seeded rand_aia(n_states=10) specs runs as
-# fast as with every image kept, while a bound of 4 makes it 1.4x slower.
+# they are seldom met again and would hold most of the memo's memory.
+# Measured on mask images on a 2-core Xeon host:
+# det(rand_aia(SplitMix64(4), n_states=30), cap=600), which hits the cap,
+# peaked at 69 MB with this bound and 158 MB with every image kept.  Small
+# specs lose little: det of the 16 rand_aia_stepping(SplitMix64(5), 16,
+# n_states=10) specs (5,662 states) takes 0.38 s with this bound, 0.32 s
+# with every image kept and 0.54 s with a bound of 4 (min of 5 runs).
 _IMAGE_MEMO_MAX_CLAUSES = 8
 
 
@@ -55,7 +57,7 @@ class _MaskKernel:
     """One automaton's states as bits, its transitions as mask antichains,
     and the memos of its steps; see :class:`AIA`."""
 
-    __slots__ = ("numbering", "transitions", "images", "steps", "configs", "masks")
+    __slots__ = ("numbering", "transitions", "images", "steps", "configs", "masks", "initial")
 
     def __init__(self, s: AIA):
         self.numbering = _Numbering(sorted(s.states))
@@ -65,7 +67,7 @@ class _MaskKernel:
         # initial configuration to that object
         self.configs: dict[_Masks, Config] = {_TOP_MASKS: top(), frozenset(): bot()}
         self.masks: dict[Config, _Masks] = {e: m for m, e in self.configs.items()}
-        self.encode(s.initial)
+        self.initial = self.encode(s.initial)  # where every search starts
         self.images: dict[str, dict[int, _Masks]] = {l: {} for l in s.labels}
         self.steps: dict[tuple[_Masks, str], _Masks] = {}
 
@@ -146,11 +148,19 @@ class AIA:
     its clauses' images; and the boundary memo between mask antichains
     and ``Config``, keyed by value and seeded with ``initial``, which
     decodes each mask antichain once, so equal successors are one object,
-    also from a configuration built apart.  All memos are freed with the
-    automaton.  They cache pure functions of the immutable transitions
-    and the state names: a race between threads can at worst build two
-    kernels, compute a successor, an image or a clause's names twice, or
-    keep two equal objects, and equal objects still compare equal.
+    also from a configuration built apart.  The boundary memo stays for
+    the step memo's sake: a ``Config`` a public step returned encodes back
+    to the very mask antichain the searches step, so their step-memo keys
+    hit by identity instead of comparing thousands of clause masks.
+    Without it, on ``conjoin``'s 8- and 9-fold conjunctions, a
+    ``leq_aia(c, view)`` after public steps of ``c`` took a median 0.05
+    and 0.12 ms against 0.01 ms, and the benchmark's ``conjoin`` op_p50_ms
+    went from 0.06 to 0.22 ms (2-core Xeon host).  All memos are freed
+    with the automaton.  They cache pure functions of the immutable
+    transitions and the state names: a race between threads can at worst
+    build two kernels, compute a successor, an image or a clause's names
+    twice, or keep two equal objects, and equal objects still compare
+    equal.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="aia"):
@@ -232,19 +242,25 @@ class AIA:
         return f"AIA({self.name!r}, {len(self.states)} states)"
 
 
+def _walk(s: AIA, m: _Masks, trace) -> _Masks:
+    """The mask antichain reached from ``m`` along a label sequence."""
+    step = s._masks().step
+    for lab in trace:
+        _check_label(s, lab)
+        m = step(m, lab.name)
+    return m
+
+
 def after(s: AIA, e: Config, trace) -> Config:
     """The configuration reached from ``e`` along a label sequence."""
     k = s._masks()
-    m = k.encode(e)
-    for lab in trace:
-        _check_label(s, lab)
-        m = k.step(m, lab.name)
-    return k.decode(m)
+    return k.decode(_walk(s, k.encode(e), trace))
 
 
 def after_trace(s: AIA, trace) -> Config:
     """``after`` from the initial configuration."""
-    return after(s, s.initial, trace)
+    k = s._masks()
+    return k.decode(_walk(s, k.initial, trace))
 
 
 def ftrace_member(s: AIA, ft: FTrace) -> bool:
@@ -256,10 +272,11 @@ def ftrace_member(s: AIA, ft: FTrace) -> bool:
     """
     if ft.failure is not None and ft.failure not in s.inputs:
         raise AlphabetError(f"~{ft.failure} does not refuse an input of {s.name!r}")
-    e = after_trace(s, ft.body)
+    k = s._masks()
+    m = _walk(s, k.initial, ft.body)
     if ft.failure is None:
-        return not e.is_bot
-    return s.step(e, ft.failure).is_top
+        return bool(m)  # not bottom
+    return 0 in k.step(m, ft.failure)  # top
 
 
 class TraceStatus(Enum):
@@ -385,8 +402,7 @@ def induce_ia(s: AIA) -> IA:
     mask kernel.
     """
     k = s._masks()
-    init = k.encode(s.initial)
-    search = Search(init)
+    search = Search(k.initial)
     trans: dict[str, dict[str, set[str]]] = {}
     labels = sorted(s.inputs) + sorted(s.outputs)
     for _, c in search:
@@ -405,6 +421,6 @@ def induce_ia(s: AIA) -> IA:
         s.inputs,
         s.outputs,
         trans,
-        {k.name((c,)) for c in init},
+        {k.name((c,)) for c in k.initial},
         name=f"ia({s.name})",
     )

@@ -22,7 +22,24 @@ def check_deterministic(s: AIA, cap: int = DEFAULT_CAP) -> bool:
         return len(m) <= 1 and all(c & (c - 1) == 0 for c in m)
 
     # a compound initial configuration fails before any search
-    return simple(s._masks().encode(s.initial)) and all(map(simple, reachable(s, cap)))
+    return simple(s._masks().initial) and all(map(simple, reachable(s, cap)))
+
+
+def _relabelled(s: AIA, cap: int, wrap, top_target, bot_target):
+    """``reachable(s, cap)`` with its configurations replaced by targets.
+
+    Each reachable configuration is named once, by the kernel's mask
+    renderer; a successor becomes ``wrap`` of its name, or ``top_target``
+    or ``bot_target`` for top and bottom, each one shared object.  Returns
+    the initial configuration's target and the rows by name.
+    """
+    k = s._masks()
+    reach = reachable(s, cap)
+    names = {m: k.name(m) for m in reach}
+    target = {m: wrap(name) for m, name in names.items()}
+    target.update({_TOP_MASKS: top_target, frozenset(): bot_target})
+    rows = {names[m]: {label: target[t] for label, t in row.items()} for m, row in reach.items()}
+    return target[k.initial], rows
 
 
 def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
@@ -34,21 +51,5 @@ def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
     single states (or kept as top/bottom).  The result is always
     deterministic and has the same input-failure traces as ``s``.
     """
-    reach = reachable(s, cap)
-    k = s._masks()
-    # each configuration is named and embedded once, as one shared state
-    names = {m: k.name(m) for m in reach}
-    states = {m: embed(name) for m, name in names.items()}
-    states.update({_TOP_MASKS: top(), frozenset(): bot()})
-    trans = {
-        names[m]: {label: states[t] for label, t in row.items()}
-        for m, row in reach.items()
-    }
-    return AIA(
-        names.values(),
-        s.inputs,
-        s.outputs,
-        trans,
-        states[k.encode(s.initial)],
-        name=f"det({s.name})",
-    )
+    initial, trans = _relabelled(s, cap, embed, top(), bot())
+    return AIA(trans, s.inputs, s.outputs, trans, initial, name=f"det({s.name})")

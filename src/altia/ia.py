@@ -191,12 +191,19 @@ def fcl_member(s: IA, ft: FTrace) -> bool:
 
     The closure also contains every word that proceeds past an input the
     automaton may refuse: once a refusal is possible, any continuation
-    after accepting that input is unconstrained.
+    after accepting that input is unconstrained.  One walk along the
+    trace decides it, stopping at the first such input.
     """
     _check_ftrace(s, ft)
-    if ftrace_member(s, ft):
-        return True
-    for j, lab in enumerate(ft.body):
-        if lab.is_input and ftrace_member(s, FTrace(ft.body[:j], lab.name)):
-            return True
-    return False
+    reached = s.initial
+
+    def may_refuse(a: str) -> bool:  # some reached state has no a-transition
+        return any(not s.succ(q, a) for q in reached)
+
+    for lab in ft.body:
+        if lab.is_input and may_refuse(lab.name):
+            return True  # the refusal is an observation: any continuation is admitted
+        reached = frozenset(r for q in reached for r in s.succ(q, lab.name))
+    if ft.failure is None:
+        return bool(reached)
+    return may_refuse(ft.failure)

@@ -54,7 +54,7 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     # The pairs are the two sides' mask antichains (see altia.aia): bottom
     # is the empty set, top the set holding the empty clause 0.
     k1, k2 = s1._masks(), s2._masks()
-    search = Search([(k1.encode(s1.initial), k2.encode(s2.initial))], cap)
+    search = Search([(k1.initial, k2.initial)], cap)
     for i, (e1, e2) in search:
         for lab in labels:
             t1 = k1.step(e1, lab.name)

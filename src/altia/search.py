@@ -14,9 +14,10 @@ shortest label sequence.
 
 Configurations are searched as mask antichains, the integer form each
 automaton steps internally (see :mod:`altia.aia`): :func:`reachable`
-encodes the initial configuration and explores, steps and returns masks
-only.  Its callers name, relabel or test the masks; none decodes them.
-``refine.leq_aia`` searches pairs of mask antichains the same way.
+starts from the kernel's encoding of the initial configuration and
+explores, steps and returns masks only.  Its callers name, relabel or
+test the masks; none decodes them.  ``refine.leq_aia`` searches pairs of
+mask antichains the same way.
 """
 
 from __future__ import annotations
@@ -85,11 +86,11 @@ def reachable(s, cap: int = DEFAULT_CAP) -> dict[_Masks, dict[str, _Masks]]:
     """
     labels = sorted(s.inputs) + sorted(s.outputs)
     table: dict = {}
-    if s.initial.is_top or s.initial.is_bot:
-        return table
     kernel = s._masks()
+    if not kernel.initial or 0 in kernel.initial:  # bottom or top
+        return table
     step = kernel.step
-    search = Search([kernel.encode(s.initial)], cap)
+    search = Search([kernel.initial], cap)
     for _, e in search:
         row = {label: step(e, label) for label in labels}
         for t in row.values():

@@ -25,11 +25,12 @@ from typing import Optional, Sequence
 from . import aia as _aia
 from . import ia as _ia
 from .aia import AIA, aia_bot, aia_top
+from .determinize import _relabelled
 from .errors import AlphabetError, ModelError
 from .ia import IA, FTrace, Label, inp
-from .lattice import _TOP_MASKS, Config, Kind, bot, classify, embed, top
+from .lattice import Config, Kind, _Masks, bot, classify, embed, top
 from .rng import SplitMix64
-from .search import DEFAULT_CAP, Search, reachable
+from .search import DEFAULT_CAP, Search
 
 PASS = "pass"
 FAIL = "fail"
@@ -86,7 +87,9 @@ def tester_problems(t: Tester) -> list[str]:
 
     Checks: single initial state, verdict states present and sinks
     without stimuli, determinism, every observation enabled everywhere,
-    and each stimulus offered together with its refusal observation.
+    and each stimulus offered together with its refusal observation,
+    which leads to a verdict: a refusal ends a run, since it is the last
+    label of an input-failure trace.
     The :class:`Tester` constructor runs it, so it is empty for every
     instance.
     """
@@ -117,6 +120,8 @@ def tester_problems(t: Tester) -> list[str]:
         for a in sorted(stim):
             if bool(s.succ(q, a)) != bool(s.succ(q, refusal(a))):
                 problems.append(f"state {q!r} offers {a!r} without its refusal (or vice versa)")
+            if not s.succ(q, refusal(a)) <= {PASS, FAIL}:
+                problems.append(f"state {q!r} continues after refusal {refusal(a)!r}")
     return problems
 
 
@@ -143,21 +148,18 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
 
     # The tester relabels the determinization table: observations follow
     # the successor, a constrained stimulus also gets its refusal to fail.
-    reach = reachable(s, cap)
-    k = s._masks()
-    target = {m: k.name(m) for m in reach}  # each configuration named once
-    target.update({_TOP_MASKS: PASS, frozenset(): FAIL})
-    for m, succ in reach.items():
-        row = {x: {target[succ[x]]} for x in s.outputs}
+    # No configuration is named 'pass' (checked above), so PASS marks top.
+    initial, table = _relabelled(s, cap, str, PASS, FAIL)
+    for q, succ in table.items():
+        row = {x: {succ[x]} for x in s.outputs}
         for a in s.inputs:
-            if 0 not in succ[a]:  # an underspecified (top) input is not tested
-                row[a] = {target[succ[a]]}
+            if succ[a] != PASS:  # an underspecified (top) input is not tested
+                row[a] = {succ[a]}
                 row[refusal(a)] = {FAIL}
-        trans[target[m]] = row
+        trans[q] = row
     t_outputs = set(s.inputs) | {refusal(a) for a in s.inputs}
     return Tester(
-        IA(set(trans), s.outputs, t_outputs, trans, {target[k.encode(s.initial)]},
-           name=f"tester({s.name})")
+        IA(set(trans), s.outputs, t_outputs, trans, {initial}, name=f"tester({s.name})")
     )
 
 
@@ -205,14 +207,11 @@ class Verdict:
 
 
 def _labels_to_ftrace(labels: Sequence[str], impl_inputs: frozenset[str]) -> FTrace:
-    body = []
-    for k, l in enumerate(labels):
-        if is_refusal(l):
-            if k != len(labels) - 1:
-                raise ModelError("refusal observed before the end of a run")
-            return FTrace(tuple(body), refusal_base(l))
-        body.append(Label(l, l in impl_inputs))
-    return FTrace(tuple(body))
+    # A refusal leads to a verdict, so only the last label can be one.
+    failure = None
+    if labels and is_refusal(labels[-1]):
+        labels, failure = labels[:-1], refusal_base(labels[-1])
+    return FTrace(tuple(Label(l, l in impl_inputs) for l in labels), failure)
 
 
 def verdict_exhaustive(t: Tester, i: IA) -> Verdict:
@@ -296,16 +295,18 @@ def gen_singular(s: AIA, seed: int, max_depth: int, p_stop: float) -> AIA:
     """
     if not 0.0 <= p_stop <= 1.0:
         raise ModelError("p_stop must be a probability")
-    e0 = s.initial
-    if e0.is_top:
+    if s.initial.is_top:
         return aia_top(s.inputs, s.outputs, name=f"singular({s.name})")
-    if e0.is_bot:
+    if s.initial.is_bot:
         return aia_bot(s.inputs, s.outputs, name=f"singular({s.name})")
+    # The tree walks the kernel's mask antichains: top is {0}, bottom empty.
+    k = s._masks()
+    step = k.step
     rng = SplitMix64(seed)
     inputs = sorted(s.inputs)
     outputs = sorted(s.outputs)
     trans: dict[str, dict[str, Config]] = {}
-    stack = [((), e0)]
+    stack = [((), k.initial)]
     while stack:
         trace, e = stack.pop()
         name = _node_name(trace)
@@ -313,19 +314,19 @@ def gen_singular(s: AIA, seed: int, max_depth: int, p_stop: float) -> AIA:
         can_extend = depth + 1 < max_depth
         row: dict[str, Config] = {}
         children = []
-        candidates = [a for a in inputs if not s.step(e, a).is_top]
+        candidates = [a for a in inputs if 0 not in step(e, a)]
         if candidates and can_extend:
             pick = rng.below(len(candidates) + 1)
             if pick > 0:
                 a = candidates[pick - 1]
                 child = trace + (inp(a),)
                 row[a] = embed(_node_name(child))
-                children.append((child, s.step(e, a)))
+                children.append((child, step(e, a)))
         for x in outputs:
-            nxt = s.step(e, x)
-            if nxt.is_bot:
+            nxt = step(e, x)
+            if not nxt:
                 continue
-            if nxt.is_top or not can_extend or rng.random() < p_stop:
+            if 0 in nxt or not can_extend or rng.random() < p_stop:
                 row[x] = top()
             else:
                 child = trace + (Label(x, False),)
@@ -406,9 +407,11 @@ def is_singular_for(s2: AIA, s1: AIA) -> bool:
         return False
     if s1.initial.is_top:
         return False
+    # s1 is walked on its kernel's mask antichains: top is {0}, bottom empty.
+    k1 = s1._masks()
     root = s2.initial.single_state
     seen = {root}
-    stack: list[tuple[str, Config]] = [(root, s1.initial)]
+    stack: list[tuple[str, _Masks]] = [(root, k1.initial)]
     while stack:
         node, e1 = stack.pop()
         constrained_inputs = 0
@@ -419,14 +422,14 @@ def is_singular_for(s2: AIA, s1: AIA) -> bool:
                 constrained_inputs += 1
             if kind is Kind.TOP:
                 continue
-            here = s1.step(e1, label)
+            here = k1.step(e1, label)
             if kind is Kind.BOT:
-                if not here.is_bot:
+                if here:  # not bottom
                     return False
                 continue
             if kind is Kind.COMPOUND:
                 return False
-            if here.is_top:
+            if 0 in here:  # top
                 return False
             child = cfg.single_state
             if child in seen:  # shared or looping target: not a tree

@@ -246,3 +246,19 @@ def rand_expr(rng: SplitMix64, generators, depth=4) -> Config:
     a = rand_expr(rng, generators, depth - 1)
     b = rand_expr(rng, generators, depth - 1)
     return (a | b) if rng.below(2) else (a & b)
+
+
+def rand_wide_config(rng: SplitMix64, generators, max_clauses=6) -> Config:
+    """A random configuration drawn as a join of up to ``max_clauses``
+    meets of one to three generators; unlike ``rand_expr``, whose draws
+    are mostly bottom or one clause, about two in five have three clauses
+    or more after absorption.  Top and bottom come one draw in twenty each."""
+    roll = rng.below(20)
+    if roll == 0:
+        return top()
+    if roll == 1:
+        return bot()
+    return Config(
+        frozenset(generators[rng.below(len(generators))] for _ in range(1 + rng.below(3)))
+        for _ in range(1 + rng.below(max_clauses))
+    )

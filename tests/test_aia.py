@@ -18,7 +18,7 @@ from altia import (
     inp,
     trace_verdict,
 )
-from altia.aia import ftrace_member
+from altia.aia import ftrace_member, rename_states
 from altia.lattice import bot, embed, join, meet, meet_all, substitute, top
 from altia.io import parse_trace
 from altia.rng import SplitMix64
@@ -211,7 +211,6 @@ def test_mask_names_render_wide_configurations():
 def test_induce_ia_names_states_by_their_clause():
     # Every state of the induced ia is expr_str of one reachable clause,
     # "T" for the empty one; the clauses are searched here by name.
-    from altia.aia import rename_states
     from altia.lattice import Config, expr_str
 
     for s in rand_aia_stepping(SplitMix64(910), 40, n_states=len(AWKWARD)):
@@ -350,8 +349,9 @@ def test_step_is_substitution_semantically():
 
 
 def test_step_returns_one_object_per_successor():
-    # Equal successors reached apart are one object per automaton, so the
-    # searches' seen-sets and memo hits compare by identity first.
+    # Equal successors reached apart are one object per automaton, and each
+    # encodes back to the mask antichain the searches step, so step-memo
+    # keys hit by identity (see the AIA docstring for what that saves).
     p_row = {"x": join(embed("q"), embed("r")), "y": join(embed("r"), embed("q"))}
     s = AIA({"p", "q", "r"}, set(), {"x", "y"}, {"p": p_row, "q": {"x": embed("p")}}, embed("p"))
     e = s.step(s.initial, "x")
@@ -446,3 +446,42 @@ def test_step_encodes_configurations_built_apart():
     with pytest.raises(ModelError):
         after(s, embed("zz"), ())
     assert s._masks().numbering.bit == bits
+
+
+def test_constructor_checks():
+    # Each check of the AIA and IA constructors, with its exact message.
+    p = embed("p")
+    for build, error, message in (
+        (lambda: AIA({"p"}, {"a"}, {"a"}, {}, p), AlphabetError,
+         "inputs and outputs overlap: ['a']"),
+        (lambda: AIA({"p"}, {"a"}, {"x"}, {}, "p"), ModelError,
+         "initial configuration must be a Config"),
+        (lambda: AIA({"p"}, {"a"}, {"x"}, {}, embed("zz")), ModelError,
+         "initial configuration uses undeclared states ['zz']"),
+        (lambda: AIA({"p"}, {"a"}, {"x"}, {"zz": {}}, p), ModelError,
+         "transition from undeclared state 'zz'"),
+        (lambda: AIA({"p"}, {"a"}, {"x"}, {"p": {"b": p}}, p), AlphabetError,
+         "transition on undeclared label 'b'"),
+        (lambda: AIA({"p"}, {"a"}, {"x"}, {"p": {"x": embed("zz")}}, p), ModelError,
+         "transition 'p' --x--> uses undeclared states ['zz']"),
+        (lambda: IA({"p"}, {"a"}, {"a"}, {}, {"p"}), AlphabetError,
+         "inputs and outputs overlap: ['a']"),
+        (lambda: IA({"p"}, {"a"}, {"x"}, {}, {"zz"}), ModelError,
+         "initial states ['zz'] not declared"),
+        (lambda: IA({"p"}, {"a"}, {"x"}, {"zz": {}}, {"p"}), ModelError,
+         "transition from undeclared state 'zz'"),
+        (lambda: IA({"p"}, {"a"}, {"x"}, {"p": {"b": {"p"}}}, {"p"}), AlphabetError,
+         "transition on undeclared label 'b'"),
+        (lambda: IA({"p"}, {"a"}, {"x"}, {"p": {"x": {"zz"}}}, {"p"}), ModelError,
+         "transition 'p' --x--> targets undeclared states ['zz']"),
+    ):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_rename_states_must_be_injective():
+    s = AIA({"p", "q"}, {"a"}, {"x"}, {}, embed("p"))
+    with pytest.raises(ModelError) as err:
+        rename_states(s, {"p": "r", "q": "r"})
+    assert str(err.value) == "state renaming must be injective"

@@ -4,6 +4,7 @@ from altia import (
     IA,
     AlphabetError,
     FTrace,
+    ModelError,
     after_set,
     aia_ftrace_member,
     check_deterministic,
@@ -30,6 +31,12 @@ def test_after_set_linear_chain(coffee):
 
 def test_after_set_nondeterminism(milkdrinks):
     assert after_set(milkdrinks, milkdrinks.initial, (inp("b"),)) == {"s1", "s2"}
+
+
+def test_after_set_refuses_undeclared_states(coffee):
+    with pytest.raises(ModelError) as err:
+        after_set(coffee, {"zz", "s0"}, ())
+    assert str(err.value) == "states ['zz'] not declared in 'coffee'"
 
 
 def test_out_in_sets(tea, milkdrinks):

@@ -97,6 +97,55 @@ def test_parse_errors_carry_lines():
     assert "line 5" in str(err.value)
 
 
+_AIA_HEAD = "aia m\ninputs a\noutputs x\n"
+_IA_HEAD = "ia m\ninputs a\noutputs x\ninit q0\n"
+
+# Each model-level error of the parser: the text, then the full message,
+# which ends in the line (and column, where one token is at fault).
+PARSE_MODEL_ERRORS = [
+    (_AIA_HEAD + 'init "q0\n', "unterminated quoted name (line 4, column 6)"),
+    (_AIA_HEAD + "init q0 $\n", "unexpected character '$' (line 4, column 9)"),
+    (_AIA_HEAD + "init (q0 q1\n", "expected ')' (line 4, column 10)"),
+    (_AIA_HEAD + "init q0\nq0 q1 -> q0\n", "expected a label, got 'q1' (line 5, column 4)"),
+    ("aia ?x\n", "expected a state name, got '?x' (line 1, column 5)"),
+    ("# nothing but a comment\n\n", "empty model: missing header (line 1)"),
+    ("model m\n", "header must be 'ia NAME' or 'aia NAME' (line 1)"),
+    ("aia m extra\n", "header must be 'ia NAME' or 'aia NAME' (line 1)"),
+    (_AIA_HEAD + "inputs b\ninit q0\n", "duplicate 'inputs' line (line 4)"),
+    ("aia m\ninputs ?a\noutputs x\ninit q0\n",
+     "inputs entries must be plain names (line 2, column 8)"),
+    ("aia m\ninputs ~a\noutputs x\ninit q0\n",
+     "input '~a' may not carry the refusal prefix (line 1)"),
+    ("aia m\ninputs a\ninit q0\n", "model needs 'inputs' and 'outputs' lines (line 1)"),
+    (_AIA_HEAD + "q0 ?a -> q0\n", "model needs an 'init' line (line 1)"),
+    (_AIA_HEAD + "init q0\nq0 ?a q0\n", "transition must be 'STATE LABEL -> TARGETS' (line 5)"),
+    (_IA_HEAD + "q0 ?a -> q0 q0\n", "ia successors are separated by '|' (line 5, column 13)"),
+    (_IA_HEAD + "q0 ?a -> q0 |\n", "dangling '|' in successor list (line 5)"),
+    # a constructor's error, reported at the header
+    ("aia m\ninputs a\noutputs a\ninit q0\n", "inputs and outputs overlap: ['a'] (line 1)"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_MODEL_ERRORS)
+def test_parse_model_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert str(err.value) == message
+    assert f"(line {err.value.line}" in message
+
+
+def test_parse_errors_exit_2_without_traceback(capsys, tmp_path):
+    from altia.cli import main
+
+    for k in (0, 5, 10, 16):  # a tokenizer, header, section and constructor error
+        text, message = PARSE_MODEL_ERRORS[k]
+        path = tmp_path / f"bad{k}.aia"
+        path.write_text(text)
+        code = main(["check", str(path)])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+
+
 def test_deep_nesting_is_a_parse_error():
     shallow = "(" * MAX_NESTING + "q" + ")" * MAX_NESTING
     assert parse_expr(shallow) == embed("q")

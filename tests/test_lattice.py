@@ -19,7 +19,7 @@ from altia.lattice import (
 )
 from altia.rng import SplitMix64
 
-from oracles import rand_config, rand_expr
+from oracles import rand_expr, rand_wide_config
 
 q1, q2, q3 = embed("q1"), embed("q2"), embed("q3")
 
@@ -118,11 +118,14 @@ def _antichain(raw):
 def test_minimize_matches_brute_force_antichain():
     rng = SplitMix64(11)
     gens = ["q1", "q2", "q3", "q4", "q5", "q6"]
+    wide = 0
     for _ in range(300):
-        a, b = rand_expr(rng, gens, depth=5), rand_expr(rng, gens, depth=5)
+        a, b = rand_wide_config(rng, gens), rand_wide_config(rng, gens)
         assert join(a, b).clauses == _antichain(a.clauses | b.clauses)
         raw_meet = [c1 | c2 for c1 in a.clauses for c2 in b.clauses]
         assert meet(a, b).clauses == _antichain(raw_meet)
+        wide += (len(a.clauses) >= 3) + (len(b.clauses) >= 3)
+    assert wide >= 200  # of the 600 operands; 235 on this seed
     # wide meets (a0|b0) & ... & (a9|b9): disjoint factors give 1024
     # clauses of one size, overlapping ones (x0|x1) & (x1|x2) & ... absorb
     for factors in (
@@ -153,14 +156,16 @@ def test_substitute_matches_brute_force():
     rng = SplitMix64(12)
     gens = ["q1", "q2", "q3", "q4", "q5", "q6"]
     images = gens + ["r1", "r2"]
-    wide = 0
+    wide = wide_images = 0
     for _ in range(300):
-        e = rand_expr(rng, gens, depth=5)
-        f = {q: rand_config(rng, images) for q in gens}
+        e = rand_wide_config(rng, gens)
+        f = {q: rand_wide_config(rng, images) for q in gens}
         got = substitute(e, f)
         assert got.clauses == _substitute(e, f)
-        wide += len(got.clauses) > 1
-    assert wide >= 50
+        wide += len(e.clauses) >= 3
+        wide_images += sum(len(img.clauses) >= 3 for img in f.values())
+    assert wide >= 100  # of the 300 substituted operands; 125 on this seed
+    assert wide_images >= 700  # of the 1800 images; 847 on this seed
 
 
 names = st.sampled_from(["q1", "q2", "q3", "q4", "q5", "q6"])

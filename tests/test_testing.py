@@ -427,16 +427,23 @@ def test_tester_validation_catches_broken_testers(machine, models_dir, tmp_path,
     b = IA(t.ia.states, t.ia.inputs, t.ia.outputs, broken, t.ia.initial, name="broken")
     with pytest.raises(ModelError, match="observation"):
         mbt.Tester(b)
-    # a verdict state that moves on, one that offers a stimulus, and a
-    # refusal label without its stimulus
-    moves_on = {q: dict(row) for q, row in t.ia.transitions.items()}
+    # a verdict state that moves on, one that offers a stimulus, a refusal
+    # label without its stimulus, an observation with two successors and a
+    # stimulus without its refusal
+    def copy():
+        return {q: dict(row) for q, row in t.ia.transitions.items()}
+
+    moves_on, stimulates, forked, lone = copy(), copy(), copy(), copy()
     moves_on["pass"]["t"] = {t.initial}
-    stimulates = {q: dict(row) for q, row in t.ia.transitions.items()}
     stimulates["fail"].update({"on": {"fail"}, "~on": {"fail"}})
+    forked[t.initial]["t"] = {"pass", "fail"}
+    del lone[t.initial]["~on"]
     for trans, outputs, message in (
         (moves_on, t.ia.outputs, "verdict state 'pass' is not a sink"),
         (stimulates, t.ia.outputs, "verdict state 'fail' offers stimuli"),
         (t.ia.transitions, t.ia.outputs | {"~zz"}, "refusal label '~zz' has no matching stimulus"),
+        (forked, t.ia.outputs, "tester is not deterministic"),
+        (lone, t.ia.outputs, "state 'm0' offers 'on' without its refusal (or vice versa)"),
     ):
         b2 = IA(t.ia.states, t.ia.inputs, outputs, trans, t.ia.initial, name="broken")
         with pytest.raises(ModelError, match=re.escape(message)):
@@ -445,3 +452,34 @@ def test_tester_validation_catches_broken_testers(machine, models_dir, tmp_path,
     save_model(path, b)
     code = cli_main(["run", str(path), str(models_dir / "good_machine.ia")])
     assert code == 2 and capsys.readouterr().err.startswith("error: not a valid tester")
+
+
+# A tester whose refusal ~a leads on to s1, where ?x fails and !a or ~a pass.
+_REFUSAL_GOES_ON = """ia t
+states s0 s1 pass fail
+inputs x
+outputs a ~a
+init s0
+s0 !a -> s1
+s0 ~a -> s1
+s0 ?x -> s1
+s1 ?x -> fail
+s1 !a -> pass
+s1 ~a -> pass
+pass ?x -> pass
+fail ?x -> fail
+"""
+
+
+def test_tester_refusals_must_end_in_a_verdict(tmp_path, capsys):
+    # A refusal is the last label of an input-failure trace, so a tester
+    # that goes on after one is invalid; it used to be accepted, and then
+    # run aborted and run --exhaustive reported FAIL !x !x.
+    t_path, i_path = tmp_path / "t.ia", tmp_path / "i.ia"
+    t_path.write_text(_REFUSAL_GOES_ON)
+    i_path.write_text("ia i\ninputs a\noutputs x\ninit q0\nq0 !x -> q0\n")
+    expected = "error: not a valid tester: state 's0' continues after refusal '~a'\n"
+    for extra in (["--seed", "1", "--runs", "3"], ["--exhaustive"]):
+        code = cli_main(["run", str(t_path), str(i_path), *extra])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", expected)

@@ -2,14 +2,16 @@
 
 Usage: python tools/cli_diff.py BASE_REV
 
-Checks ``BASE_REV`` out with ``git worktree`` into a temporary directory
+Extracts ``BASE_REV`` with ``git archive`` into a temporary directory
 and runs one fixed command set over the models in ``models/`` in both
 trees, one ``python -m altia`` process per command.  Both trees read the
 same copy of this tree's ``models/``, so only the program differs.  The
-set has 522 commands for the nine models:
+set has 531 commands for the nine models:
 
 - per model: ``check``, ``det`` to stdout and to a file, ``tester`` to a
-  file, ``to-ia``, ``to-aia``, ``dot`` and ``testgen``;
+  file, ``to-ia``, ``to-aia``, ``dot`` and ``testgen`` twice, with the
+  defaults and with ``WIDE_TESTGEN``, whose four deeper cases show that
+  test-case generation keeps its random draws;
 - per model and trace of ``MEMBER_TRACES``: ``member``, plain and with
   ``--json`` (a trace outside a model's alphabet is an input error, and
   its message is compared too);
@@ -34,6 +36,9 @@ REPO = Path(__file__).resolve().parent.parent
 # Traces for ``member``: allowed ones print the reached configuration.
 MEMBER_TRACES = ("", "?a", "?on", "?on ?b", "?on ?b !t+m", "?on ~b", "?a !x")
 
+# A second ``testgen`` per model: more cases, cut off less often.
+WIDE_TESTGEN = ("--seed", "3", "--depth", "5", "--p-stop", "0.1", "--count", "4")
+
 
 def commands(models: list[str]) -> list[list[str]]:
     """The command set, each command as altia's arguments, with paths
@@ -50,6 +55,7 @@ def commands(models: list[str]) -> list[list[str]]:
             ["to-aia", m],
             ["dot", m],
             ["testgen", m, "-o", f"gen/{stem}"],
+            ["testgen", m, *WIDE_TESTGEN, "-o", f"gen/{stem}_wide"],
         ]
         for trace in MEMBER_TRACES:
             cmds += [["member", m, "--trace", trace], ["member", m, "--trace", trace, "--json"]]
@@ -109,16 +115,14 @@ def main(argv: list[str]) -> int:
     cmds = commands(models)
     with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
         base = Path(tmp) / "base"
-        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
-                        str(base), base_rev], check=True)
-        try:
-            results = {}
-            for side, tree in (("base", base), ("this", REPO)):
-                results[side] = run_all(tree, Path(tmp) / f"work_{side}", cmds)
-            written = {side: files(Path(tmp) / f"work_{side}") for side in results}
-        finally:
-            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(base)],
-                           check=True)
+        base.mkdir()
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", base_rev, "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        results = {}
+        for side, tree in (("base", base), ("this", REPO)):
+            results[side] = run_all(tree, Path(tmp) / f"work_{side}", cmds)
+        written = {side: files(Path(tmp) / f"work_{side}") for side in results}
     differences = 0
     for cmd, old, new in zip(cmds, results["base"], results["this"]):
         for what, k in (("exit code", 0), ("stdout", 1), ("stderr", 2)):
