@@ -32,12 +32,10 @@ from .lattice import (
     _mask_antichain,
     _mask_meet,
     _Numbering,
+    _from_antichain,
     _render,
     bot,
-    embed,
-    join_all,
     quote_name,
-    substitute,
     top,
 )
 from .search import Search
@@ -305,11 +303,14 @@ def _require_same_alphabets(a, b):
 
 def rename_states(s: AIA, mapping) -> AIA:
     """Copy of ``s`` with states renamed by an injective mapping."""
-    emb = {q: embed(mapping[q]) for q in s.states}
     if len(set(mapping[q] for q in s.states)) != len(s.states):
         raise ModelError("state renaming must be injective")
+
+    def rename(cfg: Config) -> Config:  # injective: an antichain maps to an antichain
+        return _from_antichain(frozenset(frozenset(mapping[q] for q in c) for c in cfg.clauses))
+
     trans = {
-        mapping[q]: {l: substitute(cfg, emb) for l, cfg in row.items()}
+        mapping[q]: {l: rename(cfg) for l, cfg in row.items()}
         for q, row in s.transitions.items()
     }
     return AIA(
@@ -317,7 +318,7 @@ def rename_states(s: AIA, mapping) -> AIA:
         s.inputs,
         s.outputs,
         trans,
-        substitute(s.initial, emb),
+        rename(s.initial),
         name=s.name,
     )
 
@@ -364,6 +365,11 @@ def aia_bot(inputs, outputs, name="bottom") -> AIA:
     return AIA((), inputs, outputs, {}, bot(), name=name)
 
 
+def _states_join(names) -> Config:
+    # distinct single-state clauses contain no other: an antichain as it stands
+    return _from_antichain(frozenset(frozenset((q,)) for q in names))
+
+
 def induce_aia(i: IA) -> AIA:
     """The alternating view of an interface automaton.
 
@@ -376,16 +382,16 @@ def induce_aia(i: IA) -> AIA:
         row: dict[str, Config] = {}
         for a in i.inputs:
             succs = i.succ(q, a)
-            row[a] = join_all(embed(r) for r in succs) if succs else top()
+            row[a] = _states_join(succs) if succs else top()
         for x in i.outputs:
-            row[x] = join_all(embed(r) for r in i.succ(q, x))
+            row[x] = _states_join(i.succ(q, x))
         trans[q] = row
     return AIA(
         i.states,
         i.inputs,
         i.outputs,
         trans,
-        join_all(embed(q) for q in i.initial),
+        _states_join(i.initial),
         name=f"aia({i.name})",
     )
 

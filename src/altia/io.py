@@ -17,7 +17,9 @@ is a header, ``ia NAME`` or ``aia NAME``.  Then, in any order::
 
 Configuration expressions follow ``expr := 'T' | 'F' | state | expr '|'
 expr | expr '&' expr | '(' expr ')'`` where ``&`` binds tighter than
-``|``; ``T`` is top and ``F`` bottom.  In an ``aia`` file an omitted
+``|``; ``T`` is top and ``F`` bottom, and a quoted ``"T"`` or ``"F"`` is
+a state.  Parentheses nest to any depth: the parser reads an expression
+in one pass, without recursion.  In an ``aia`` file an omitted
 input line means top and an omitted output line bottom, so explicitly
 writing those is equivalent to leaving them out; an input may not map to
 ``F``.  In an ``ia`` file an omitted line means no transition.
@@ -42,15 +44,15 @@ from .errors import ParseError
 from .ia import IA, FTrace, Label
 from .lattice import (
     PLAIN_NAME as _PLAIN,
+    _TOP_MASKS,
     Config,
-    bot,
-    embed,
+    _Masks,
+    _mask_antichain,
+    _mask_meet,
+    _Numbering,
     expr_str,
-    join_all,
-    meet_all,
     quote_name as _quote,
     sorted_clauses,
-    top,
 )
 
 
@@ -114,71 +116,57 @@ def _tokenize_line(line: str, lineno: int) -> list[_Tok]:
     return toks
 
 
-# Each parenthesis costs the recursive parser three stack frames; past
-# this depth it refuses the expression rather than overflow the stack.
-MAX_NESTING = 200
+def _parse_config(toks: list[_Tok], lineno: int) -> Config:
+    """The configuration of an expression's tokens, read in one pass.
 
-
-class _ExprParser:
-    def __init__(self, toks: list[_Tok], pos: int, lineno: int):
-        self.toks = toks
-        self.pos = pos
-        self.lineno = lineno
-        self.depth = 0
-
-    def peek(self) -> Optional[_Tok]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of expression", self.lineno)
-        self.pos += 1
-        return t
-
-    def parse(self) -> Config:
-        e = self.expr()
-        if self.peek() is not None:
-            t = self.peek()
-            raise ParseError(f"unexpected {t.text!r} after expression", t.line, t.col)
-        return e
-
-    def expr(self) -> Config:
-        parts = [self.term()]
-        while (t := self.peek()) is not None and t.kind == "punct" and t.text == "|":
-            self.take()
-            parts.append(self.term())
-        return join_all(parts)
-
-    def term(self) -> Config:
-        parts = [self.factor()]
-        while (t := self.peek()) is not None and t.kind == "punct" and t.text == "&":
-            self.take()
-            parts.append(self.factor())
-        return meet_all(parts)
-
-    def factor(self) -> Config:
-        t = self.take()
+    The state names are numbered once (a quoted ``"T"`` is a name, the
+    bare words ``T`` and ``F`` are not), and every value is a mask
+    antichain.  Each open parenthesis keeps the disjuncts collected so far
+    and the running conjunction: ``&`` meets an operand into the
+    conjunction, ``|`` moves the conjunction to the disjuncts, and ``)``
+    closes the level into one antichain, an operand of the level around
+    it.  The result is decoded once.
+    """
+    numbering = _Numbering({t.text for t in toks if t.kind == "quoted"
+                            or t.kind == "word" and t.text not in ("T", "F")})
+    bit = numbering.bit
+    levels: list[tuple[set[int], _Masks]] = []  # the enclosing (disjuncts, conjunction)
+    disjuncts: set[int] = set()
+    conj = _TOP_MASKS
+    k, n = 0, len(toks)
+    while True:
+        if k == n:
+            raise ParseError("unexpected end of expression", lineno)
+        t = toks[k]
+        k += 1
         if t.kind == "punct" and t.text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
-                                 t.line, t.col)
-            self.depth += 1
-            e = self.expr()
-            self.depth -= 1
-            closing = self.take()
-            if closing.kind != "punct" or closing.text != ")":
-                raise ParseError("expected ')'", closing.line, closing.col)
-            return e
-        if t.kind == "word":
-            if t.text == "T":
-                return top()
-            if t.text == "F":
-                return bot()
-            return embed(t.text)
-        if t.kind == "quoted":
-            return embed(t.text)
-        raise ParseError(f"unexpected {t.text!r} in expression", t.line, t.col)
+            levels.append((disjuncts, conj))
+            disjuncts, conj = set(), _TOP_MASKS
+            continue
+        if t.kind == "quoted" or t.kind == "word" and t.text not in ("T", "F"):
+            conj = _mask_meet(conj, frozenset((bit[t.text],)))
+        elif t.kind != "word":
+            raise ParseError(f"unexpected {t.text!r} in expression", t.line, t.col)
+        elif t.text == "F":  # a meet with T leaves the conjunction as it is
+            conj = frozenset()
+        while k < n and levels and toks[k].kind == "punct" and toks[k].text == ")":
+            k += 1
+            operand = _mask_antichain(disjuncts.union(conj)) if disjuncts else conj
+            disjuncts, conj = levels.pop()
+            conj = _mask_meet(conj, operand)
+        if k == n:
+            if levels:
+                raise ParseError("unexpected end of expression", lineno)
+            return numbering.decode(_mask_antichain(disjuncts.union(conj)) if disjuncts else conj)
+        t = toks[k]
+        k += 1
+        if t.kind == "punct" and t.text == "|":
+            disjuncts |= conj
+            conj = _TOP_MASKS
+        elif t.kind != "punct" or t.text != "&":
+            if levels:
+                raise ParseError("expected ')'", t.line, t.col)
+            raise ParseError(f"unexpected {t.text!r} after expression", t.line, t.col)
 
 
 def parse_expr(text: str) -> Config:
@@ -186,7 +174,7 @@ def parse_expr(text: str) -> Config:
     toks = _tokenize_line(text, 1)
     if not toks:
         raise ParseError("empty expression", 1)
-    return _ExprParser(toks, 0, 1).parse()
+    return _parse_config(toks, 1)
 
 
 def parse_trace(text: str) -> FTrace:
@@ -308,7 +296,7 @@ def parse_model(text: str) -> Union[IA, AIA]:
             note_state(st, init_line)
             initial.append(st)
     else:
-        initial_cfg = _ExprParser(init_toks, 0, init_line).parse()
+        initial_cfg = _parse_config(init_toks, init_line)
         for q in initial_cfg.states():
             note_state(q, init_line)
 
@@ -337,7 +325,7 @@ def parse_model(text: str) -> Union[IA, AIA]:
                 raise ParseError("dangling '|' in successor list", n)
             raw_trans.setdefault(src, {})[label] = set(succs)
         else:
-            cfg = _ExprParser(rhs, 0, n).parse()
+            cfg = _parse_config(rhs, n)
             if label in inputs and cfg.is_bot:
                 raise ParseError(
                     f"input transition {src!r} --{label}--> may not be F", n

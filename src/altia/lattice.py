@@ -202,7 +202,7 @@ def bot() -> Config:
 
 def embed(q: str) -> Config:
     """The configuration consisting of the single state ``q``."""
-    return Config((frozenset((q,)),))
+    return _from_antichain(frozenset((frozenset((q,)),)))  # one clause is an antichain
 
 
 def join(a: Config, b: Config) -> Config:

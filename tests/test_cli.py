@@ -187,11 +187,10 @@ def test_input_error_exit_code(capsys, models_dir, tmp_path):
     bad.write_text("aia x\ninputs a\noutputs x\ninit q0\nq0 ?a -> F\n")
     code, _, err = run_cli(capsys, "check", bad)
     assert code == 2
-    deep = tmp_path / "deep.aia"  # nesting past the parser's bound, not a RecursionError
+    deep = tmp_path / "deep.aia"  # the parser has no depth limit
     deep.write_text(f"aia deep\nstates q0\ninputs a\noutputs x\n"
                     f"init {'(' * 5000}q0{')' * 5000}\nq0 !x -> q0\n")
-    code, _, err = run_cli(capsys, "check", deep)
-    assert code == 2 and err.startswith("error:") and "line 5" in err
+    assert run_cli(capsys, "check", deep) == (0, "aia deep: 1 states, 1 inputs, 1 outputs\n", "")
     code, _, err = run_cli(
         capsys, "refine", models_dir / "widget.aia", models_dir / "machine.aia"
     )

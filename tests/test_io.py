@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from altia import IA, FTrace, ParseError, det, build_tester
-from altia.io import MAX_NESTING, parse_expr, parse_model, parse_trace, print_model, to_dot
+from altia.io import parse_expr, parse_model, parse_trace, print_model, to_dot
 from altia.lattice import bot, embed, join, meet, top
 from altia.rng import SplitMix64
 
@@ -146,16 +148,18 @@ def test_parse_errors_exit_2_without_traceback(capsys, tmp_path):
         assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
 
 
-def test_deep_nesting_is_a_parse_error():
-    shallow = "(" * MAX_NESTING + "q" + ")" * MAX_NESTING
-    assert parse_expr(shallow) == embed("q")
-    deep = "(" * 5000 + "q" + ")" * 5000
+def test_deep_nesting_parses():
+    # the parser keeps one entry per open parenthesis, not a stack frame
+    for depth in (5000, 100_000):
+        deep = "(" * depth + "q" + ")" * depth
+        start = time.perf_counter()
+        assert parse_expr(deep) == embed("q")
+        m = parse_model(f"aia deep\ninputs a\noutputs x\ninit {deep}\nq !x -> {deep}\n")
+        assert m.initial == embed("q") and m.transitions["q"]["x"] == embed("q")
+        assert time.perf_counter() - start < 10
     with pytest.raises(ParseError) as err:
-        parse_expr(deep)
-    assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
-    with pytest.raises(ParseError) as err:
-        parse_model(f"aia deep\ninputs a\noutputs x\ninit {deep}\n")
-    assert err.value.line == 4
+        parse_expr("(" * 5000 + "q" + ")" * 4999)
+    assert str(err.value) == "unexpected end of expression (line 1)"
 
 
 def test_input_to_bottom_rejected():
@@ -258,6 +262,98 @@ def test_syntactically_different_expressions_normalize_equal():
     ]
     for left, right in pairs:
         assert parse_expr(left) == parse_expr(right)
+
+
+# Names as written and as read: a quoted "T" is a state, the bare T is top.
+_EXPR_NAMES = {"a": "a", "b2": "b2", '"T"': "T", '"a b"': "a b", '"~x"': "~x"}
+_EXPR_EXTRA = ["(", ")", "&", "|", "a", "T", "F", '"T"', "->", "?a", "!x"]
+
+
+def _rand_tree(rng, depth):
+    """An expression tree: a name's text, "T", "F", or (op, children)."""
+    if depth == 0 or rng.below(4) == 0:
+        roll = rng.below(7)
+        return "T" if roll == 0 else "F" if roll == 1 else list(_EXPR_NAMES)[rng.below(5)]
+    return ("&|"[rng.below(2)], [_rand_tree(rng, depth - 1) for _ in range(2 + rng.below(2))])
+
+
+def _render_tree(rng, tree) -> list[str]:
+    """Tokens of ``tree``, with a '|' under a '&' parenthesized and
+    redundant parentheses around any sub-expression."""
+    if isinstance(tree, str):
+        toks = [tree]
+    else:
+        op, children = tree
+        toks = []
+        for child in children:
+            sub = _render_tree(rng, child)
+            if op == "&" and isinstance(child, tuple) and child[0] == "|":
+                sub = ["(", *sub, ")"]
+            toks += [op, *sub] if toks else sub
+    while rng.below(3) == 0:
+        toks = ["(", *toks, ")"]
+    return toks
+
+
+def _truth(tree, value) -> bool:
+    if isinstance(tree, str):
+        return tree == "T" or tree != "F" and value[_EXPR_NAMES[tree]]
+    op, children = tree
+    return (all if op == "&" else any)(_truth(c, value) for c in children)
+
+
+def _nesting(toks) -> tuple[int, bool]:
+    """The deepest parenthesis level of ``toks``, and whether a bare ``T``
+    or ``F`` stands inside a parenthesis."""
+    level = depth = 0
+    constant_inside = False
+    for t in toks:
+        level += (t == "(") - (t == ")")
+        depth = max(depth, level)
+        constant_inside |= level > 0 and t in ("T", "F")
+    return depth, constant_inside
+
+
+def test_parse_expr_agrees_with_truth_tables():
+    # Two configurations are equal exactly when they agree on every
+    # valuation of the state names, so a brute-force evaluation of the
+    # tree checks the parse without the lattice operations.
+    rng = SplitMix64(2024)
+    names = list(_EXPR_NAMES.values())
+    valuations = [{q: bool(bits >> k & 1) for k, q in enumerate(names)}
+                  for bits in range(1 << len(names))]
+    deep = constant_inside = 0
+    for _ in range(400):
+        tree = _rand_tree(rng, 5)
+        toks = _render_tree(rng, tree)
+        depth, inside = _nesting(toks)
+        deep += depth >= 4
+        constant_inside += inside
+        clauses = parse_expr((" " if rng.below(2) else "").join(toks)).clauses
+        assert not any(c < d for c in clauses for d in clauses)  # an antichain
+        for value in valuations:
+            assert _truth(tree, value) == any(all(value[q] for q in c) for c in clauses), toks
+    assert (deep, constant_inside) == (277, 294)  # of the 400 draws
+
+
+def test_malformed_expressions_are_parse_errors():
+    # Deleting or inserting one token breaks either the alternation of
+    # operands and binary operators or the balance of parentheses.
+    rng = SplitMix64(2025)
+    for k in range(400):
+        toks = _render_tree(rng, _rand_tree(rng, 4))
+        at = rng.below(len(toks) + 1)
+        if k % 2:
+            toks = toks[:at] + [_EXPR_EXTRA[rng.below(len(_EXPR_EXTRA))]] + toks[at:]
+        else:
+            del toks[min(at, len(toks) - 1)]
+        text = " ".join(toks)
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert err.value.line == 1, text
+        with pytest.raises(ParseError) as err:
+            parse_model(f"aia m\ninputs a\noutputs x\ninit {text}\n")
+        assert err.value.line == 4, text
 
 
 def test_comments_and_blank_lines():

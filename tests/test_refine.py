@@ -2,6 +2,7 @@ import pytest
 
 from altia import (
     AlphabetError,
+    IA,
     FTrace,
     aia_bot,
     aia_top,
@@ -101,6 +102,9 @@ def test_alphabet_mismatch_is_an_error(machine, widget, tea):
         leq_aia(machine, widget)
     with pytest.raises(AlphabetError):
         leq_ia_aia(tea, machine)
+    with pytest.raises(AlphabetError) as err:
+        leq_ia(tea, IA(("q",), ("a",), ("x",), {}, ("q",), name="other"))
+    assert str(err.value) == "'tea' and 'other' have different alphabets"
 
 
 def test_counterexamples_validated_both_sides():

@@ -4,6 +4,7 @@ import pytest
 
 from altia import (
     IA,
+    AlphabetError,
     FTrace,
     ModelError,
     after_trace,
@@ -77,6 +78,16 @@ def test_tester_rejects_reserved_state_names():
         build_tester(s)
 
 
+def test_tester_rejects_an_input_with_the_refusal_prefix():
+    from altia import AIA
+    from altia.lattice import embed
+
+    s = AIA(("q0",), ("~a",), ("x",), {}, embed("q0"))
+    with pytest.raises(ModelError) as err:
+        build_tester(s)
+    assert str(err.value) == "input '~a' clashes with the refusal-label prefix"
+
+
 # ------------------------------------------------------------- execution
 
 def test_product_refusal_edge(machine):
@@ -105,6 +116,21 @@ def test_exhaustive_verdicts(machine, good_machine, faulty_tea):
     v = verdict_exhaustive(t, faulty_tea)
     assert not v.passed
     assert str(v.witness) == "?on ?b !t"
+
+
+def test_incompatible_alphabets_rejected(machine, tea, models_dir, tmp_path, capsys):
+    t = build_tester(machine)
+    message = "tester 'tester(machine)' and implementation 'tea' have incompatible alphabets"
+    for run in (lambda: verdict_exhaustive(t, tea), lambda: run_random(t, tea, seed=1)):
+        with pytest.raises(AlphabetError) as err:
+            run()
+        assert str(err.value) == message
+    tester = tmp_path / "tester.ia"
+    save_model(tester, t.ia)
+    for extra in ([], ["--exhaustive"]):
+        code = cli_main(["run", str(tester), str(models_dir / "tea.ia"), *extra])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
 
 
 def test_empty_implementation_rejected(machine):

@@ -6,7 +6,7 @@ Extracts ``BASE_REV`` with ``git archive`` into a temporary directory
 and runs one fixed command set over the models in ``models/`` in both
 trees, one ``python -m altia`` process per command.  Both trees read the
 same copy of this tree's ``models/``, so only the program differs.  The
-set has 531 commands for the nine models:
+set has 538 commands for the nine models and ``NESTED_MODEL``:
 
 - per model: ``check``, ``det`` to stdout and to a file, ``tester`` to a
   file, ``to-ia``, ``to-aia``, ``dot`` and ``testgen`` twice, with the
@@ -17,7 +17,10 @@ set has 531 commands for the nine models:
   its message is compared too);
 - per ordered pair of models: ``refine --json`` and ``compose --and``;
 - per tester and ``.ia`` model: ``run --exhaustive --json``, ``run --json``
-  and ``run --runs 3 --json``.
+  and ``run --runs 3 --json``;
+- on ``NESTED_MODEL``, which the tool writes into each work directory:
+  ``check``, ``det``, ``dot``, ``to-ia`` and ``member`` per trace of
+  ``NESTED_TRACES``.
 
 Any difference in stdout, stderr, exit code or written files is
 reported, and the exit code is then 1; it is 0 when the trees agree.
@@ -39,10 +42,26 @@ MEMBER_TRACES = ("", "?a", "?on", "?on ?b", "?on ?b !t+m", "?on ~b", "?a !x")
 # A second ``testgen`` per model: more cases, cut off less often.
 WIDE_TESTGEN = ("--seed", "3", "--depth", "5", "--p-stop", "0.1", "--count", "4")
 
+# Expressions with nested parentheses, F absorbed inside a conjunction, T
+# inside a disjunction, and quoted names, one of them "T".
+NESTED_MODEL = """aia nested
+inputs a b
+outputs x y
+init ("s 0" | F) & (s1 | ("T" & ((s1 | T))))
+"s 0" ?a -> ((s1 & F) | ("~q" & (s1 | T)))
+"s 0" !x -> (("s 0" | (s1 & "T")) & ((s1 | "s 0")))
+s1 ?b -> (T | s1) & ((("T" | F)) & ("s 0" | s1))
+s1 !y -> ((("~q")))
+"T" !x -> ("s 0" & (T | "T")) | F
+"~q" ?a -> ((F | "~q") & (T & ("T" | ("s 0" & s1))))
+"~q" !y -> T
+"""
+NESTED_TRACES = ("?a", "!x !x", "!y")
+
 
 def commands(models: list[str]) -> list[list[str]]:
     """The command set, each command as altia's arguments, with paths
-    relative to a work directory holding ``models/``."""
+    relative to a work directory holding ``models/`` and ``nested.aia``."""
     stems = [Path(m).stem for m in models]
     cmds = []
     for m, stem in zip(models, stems):
@@ -71,6 +90,8 @@ def commands(models: list[str]) -> list[list[str]]:
                 ["run", "--json", tester, impl],
                 ["run", "--runs", "3", "--json", tester, impl],
             ]
+    cmds += [[command, "nested.aia"] for command in ("check", "det", "dot", "to-ia")]
+    cmds += [["member", "nested.aia", "--trace", trace] for trace in NESTED_TRACES]
     return cmds
 
 
@@ -80,6 +101,7 @@ def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, st
     (work / "models").mkdir(parents=True)
     for f in sorted((REPO / "models").iterdir()):
         (work / "models" / f.name).write_bytes(f.read_bytes())
+    (work / "nested.aia").write_text(NESTED_MODEL, encoding="utf-8")
     for d in ("out", "testers", "gen"):
         (work / d).mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
