@@ -17,6 +17,7 @@ from .aia import AIA, conj, disj, induce_aia, induce_ia, trace_verdict
 from .errors import AltiaError, ExplorationLimitError
 from .ia import IA
 from .io import load_model, parse_trace, print_model, save_model, to_dot
+from .lattice import expr_str
 from .search import DEFAULT_CAP
 
 
@@ -46,7 +47,7 @@ def _cmd_member(args) -> int:
         if ft.plain:
             status, cfg = trace_verdict(m, ft.body)
             verdict = status.value
-            detail = str(cfg) if status.value == "Allowed" else None
+            detail = expr_str(cfg) if status.value == "Allowed" else None
         else:
             from .aia import ftrace_member
 

@@ -20,9 +20,11 @@ clause into the ``int`` with one bit per member, so ``k & m == k`` tests
 containment, and a configuration into the frozenset of its clause masks.
 Absorption (``_mask_antichain``) and meet (``_mask_meet``) are defined
 once, on masks, and results are decoded unchecked, since a mask
-antichain is canonical already.  Each automaton keeps one numbering of
-its own states and steps mask antichains with the same two functions
-(see :mod:`altia.aia`).
+antichain is canonical already; a clause mask decodes to names by its
+set bits.  :func:`substitute` is one pass over one numbering of its
+targets' states, with one absorption at the end.  Each automaton keeps
+one numbering of its own states and steps mask antichains with the
+same two functions (see :mod:`altia.aia`).
 
 There is no global table of instances: an automaton's boundary memo
 gives its own equal successors one object.  All values are immutable
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Optional
 
 Clause = frozenset[str]
@@ -88,15 +91,22 @@ def _mask_meet(a: _Masks, b: _Masks) -> _Masks:
     return _mask_antichain({x | y for x in a for y in b})
 
 
+# bin(m)[:1:-1] is a clause mask's bits, lowest first; this table turns
+# each digit into the byte 0 or 1 that itertools.compress selects with
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 class _Numbering:
     """A fixed set of state names as bits, which never grows: encoding any
     other name raises ``KeyError``.  Decoding reuses the clause frozensets
-    that were encoded and decodes any other clause mask once."""
+    that were encoded and decodes any other clause mask once, selecting
+    the names of its set bits at C level."""
 
-    __slots__ = ("bit", "clauses")
+    __slots__ = ("names", "bit", "clauses")
 
     def __init__(self, names: Iterable[str]):
-        self.bit = {q: 1 << i for i, q in enumerate(names)}
+        self.names = tuple(names)  # in bit order
+        self.bit = {q: 1 << i for i, q in enumerate(self.names)}
         self.clauses: dict[int, Clause] = {}  # clause mask -> member names
 
     def encode(self, clauses: Iterable[Clause]) -> frozenset[int]:
@@ -113,7 +123,8 @@ class _Numbering:
         """The state names of a clause mask, one object per clause."""
         names = self.clauses.get(m)
         if names is None:
-            names = self.clauses[m] = frozenset(q for q, b in self.bit.items() if m & b)
+            selected = bin(m)[:1:-1].encode().translate(_BIT_BYTES)
+            names = self.clauses[m] = frozenset(compress(self.names, selected))
         return names
 
     def decode(self, masks: Iterable[int]) -> Config:
@@ -239,9 +250,44 @@ def substitute(e: Config, f: Mapping[str, Config]) -> Config:
     """Replace every state in ``e`` by ``f[state]`` and renormalize.
 
     ``f`` must cover every state occurring in ``e``; a missing state
-    surfaces as the mapping's KeyError, which is a caller defect.
+    surfaces as the mapping's KeyError, which is a caller defect.  Keys
+    of ``f`` that do not occur in ``e`` are ignored.
+
+    One pass over one numbering: ``f[q]`` is looked up and encoded once
+    per state of ``e``, over one numbering of the targets' states.  A
+    clause's image is the meet of its members' targets: the one-clause
+    targets (top among them) are ORed into one mask, ``_mask_meet`` is
+    folded over the others only, and a bottom target ends the clause.
+    Every clause's image, each mask ORed with that clause's one-clause
+    mask, goes into one set, which one absorption makes canonical, since
+    absorbing the union gives the same element as absorbing each image
+    first.  The result is decoded once.
     """
-    return join_all(meet_all(f[q] for q in clause) for clause in e.clauses)
+    targets = {q: f[q] for q in e.states()}
+    numbering = _Numbering(frozenset().union(*(c for t in targets.values() for c in t.clauses)))
+    one: dict[str, int] = {}  # state -> the mask of its one-clause target
+    wide: dict[str, _Masks] = {}  # state -> its other target, bottom included
+    for q, t in targets.items():
+        masks = numbering.encode(t.clauses)
+        if len(masks) == 1:
+            (one[q],) = masks
+        else:
+            wide[q] = masks
+    out: set[int] = set()
+    for clause in e.clauses:
+        acc, img = 0, _TOP_MASKS
+        for q in clause:
+            m = one.get(q)
+            if m is not None:
+                acc |= m
+                continue
+            t = wide[q]
+            if not t:  # bottom absorbs the remaining members
+                break
+            img = _mask_meet(img, t)
+        else:
+            out.update([x | acc for x in img])
+    return numbering.decode(_mask_antichain(out))
 
 
 def classify(e: Config) -> Kind:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -5,8 +6,9 @@ import sys
 from pathlib import Path
 
 import altia
+from altia.aia import after_trace
 from altia.cli import main
-from altia.io import load_model
+from altia.io import load_model, parse_expr, parse_trace
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +32,55 @@ def test_member_aia_verdicts(capsys, models_dir):
     assert code == 0 and out.startswith("Allowed ")
     code, out, _ = run_cli(capsys, "member", models_dir / "machine.aia", "--trace", "~a")
     assert (code, out.strip()) == (0, "member")
+
+
+# A model whose state names read as constants, operators or two words.
+QUOTED_MODEL = """aia quoted
+states "T" "s 0" "a|b" "~q" "F&" s1
+inputs a
+outputs x y
+init "T" & s1 | "s 0"
+"T" !x -> "a|b" & "~q" | s1 & "F&"
+"s 0" !x -> "s 0"
+s1 !x -> T
+"a|b" ?a -> "T" & "s 0" | s1
+"~q" !y -> "F&"
+"F&" ?a -> "~q"
+"""
+
+
+def test_member_writes_a_configuration_that_parses_back(capsys, models_dir, tmp_path):
+    # member writes the reached configuration with expr_str, so a name
+    # that reads as T, an operator or two words is quoted and the text
+    # parses back to the configuration the trace reaches
+    spec = importlib.util.spec_from_file_location(
+        "cli_diff", Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py")
+    cli_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_diff)
+    cases = (
+        ("nested.aia", cli_diff.NESTED_MODEL, ("", *cli_diff.NESTED_TRACES)),
+        ("quoted.aia", QUOTED_MODEL, ("", "!x", "!x !x", "!x !y", "?a")),
+    )
+    allowed = quoted = 0
+    for filename, text, traces in cases:
+        path = tmp_path / filename
+        path.write_text(text, encoding="utf-8")
+        model = load_model(path)
+        for trace in traces:
+            reached = after_trace(model, parse_trace(trace).body)
+            code, out, _ = run_cli(capsys, "member", path, "--trace", trace)
+            verdict, _, written = out.rstrip("\n").partition(" ")
+            code_json, out_json, _ = run_cli(capsys, "member", path, "--trace", trace, "--json")
+            assert (code, code_json) == (0, 0)
+            assert json.loads(out_json) == {"verdict": verdict, "configuration": written or None}
+            if verdict == "Allowed":
+                assert parse_expr(written) == reached, (filename, trace, written)
+                allowed += 1
+                quoted += '"' in written
+    assert (allowed, quoted) == (6, 6)
+    # plain names are written as they were
+    code, out, _ = run_cli(capsys, "member", models_dir / "machine.aia", "--trace", "?on ?b !t+m")
+    assert (code, out) == (0, "Allowed m10\n")
 
 
 def test_member_ia_and_json(capsys, models_dir):

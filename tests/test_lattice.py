@@ -1,10 +1,12 @@
 from itertools import product
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from altia.lattice import (
     Config,
+    _Numbering,
     Kind,
     bot,
     classify,
@@ -166,6 +168,109 @@ def test_substitute_matches_brute_force():
         wide_images += sum(len(img.clauses) >= 3 for img in f.values())
     assert wide >= 100  # of the 300 substituted operands; 125 on this seed
     assert wide_images >= 700  # of the 1800 images; 847 on this seed
+
+
+def _rand_target(rng, kind, images):
+    # a target of the given shape: one clause, several clauses, top, bottom
+    if kind == "top":
+        return top()
+    if kind == "bot":
+        return bot()
+    while True:
+        t = rand_wide_config(rng, images)
+        if not t.is_top and not t.is_bot and (len(t.clauses) == 1) == (kind == "one"):
+            return t
+
+
+def test_substitute_mixes_target_shapes():
+    # substitute ORs one-clause targets into one mask, meets only the
+    # others, ends a clause at a bottom target and absorbs once over the
+    # union of the clauses' images: every path is reached and checked
+    # against the brute force
+    rng = SplitMix64(21)
+    gens = ["q1", "q2", "q3", "q4", "q5", "q6"]
+    images = gens + ["r1", "r2"]
+    kinds = ("one", "one", "wide", "wide", "top", "bot")
+    ored = one_and_wide = three_shapes = with_bottom = absorbed = 0
+    for _ in range(400):
+        e = meet(rand_wide_config(rng, gens), rand_wide_config(rng, gens))  # clauses of 1-6
+        f = {q: _rand_target(rng, kinds[rng.below(len(kinds))], images) for q in gens}
+        got = substitute(e, f)
+        assert got.clauses == _substitute(e, f)
+        shapes = [
+            [("top" if f[q].is_top else "bot" if f[q].is_bot
+              else "one" if len(f[q].clauses) == 1 else "wide") for q in clause]
+            for clause in e.clauses
+        ]
+        ored += any(k.count("one") >= 2 for k in shapes)
+        one_and_wide += any({"one", "wide"} <= set(k) for k in shapes)
+        three_shapes += any(len(set(k)) >= 3 for k in shapes)
+        with_bottom += any("bot" in k and len(k) >= 2 for k in shapes)
+        # the clauses' own images, put together, hold absorbed masks
+        absorbed += sum(len(_substitute(Config([c]), f)) for c in e.clauses) > len(got.clauses)
+    # of the 400 draws; 122, 198, 115, 171 and 178 on this seed
+    assert ored >= 100 and one_and_wide >= 150 and three_shapes >= 90
+    assert with_bottom >= 140 and absorbed >= 140
+
+
+def test_substitute_wide_operands():
+    # a renaming of 2**10 clauses, and a 4**5-clause operand whose states go
+    # to one-clause, multi-clause, top and bottom targets
+    pairs = meet_all(Config([{f"a{i}"}, {f"b{i}"}]) for i in range(10))
+    rename = {q: embed(q + "'") for q in pairs.states()}
+    got = substitute(pairs, rename)
+    assert len(got.clauses) == 1024
+    assert got.clauses == _substitute(pairs, rename)
+    assert got.clauses == frozenset(frozenset(q + "'" for q in c) for c in pairs.clauses)
+    groups = [[f"g{i}w{w}" for w in range(4)] for i in range(5)]
+    wide = meet_all(join_all(embed(q) for q in grp) for grp in groups)
+    assert len(wide.clauses) == 4**5
+    f = {}
+    for i, grp in enumerate(groups):
+        f[grp[0]] = meet(embed(f"x{i}"), embed(f"x{i + 1}"))
+        f[grp[1]] = join(embed(f"x{i}"), meet(embed(f"y{i}"), embed(f"y{i + 1}")))
+        f[grp[2]] = top() if i % 2 else join(embed(f"x{i + 2}"), embed(f"y{i}"))
+        f[grp[3]] = bot() if i == 3 else embed(f"y{i + 2}")
+    got = substitute(wide, f)
+    assert got.clauses == _substitute(wide, f)
+    assert 1 < len(got.clauses) < 4**5
+
+
+def test_substitute_reads_only_the_states_of_e():
+    # keys of f beyond e's states are ignored, targets may name states e
+    # lacks, and a missing state raises the mapping's KeyError
+    e = Config([{"q1", "q2"}, {"q3"}])
+    f = {"q1": join(embed("q3"), embed("z")), "q2": embed("q1"), "q3": meet(embed("w"), embed("q2"))}
+    extra = {**f, "q4": bot(), "q5": embed("v"), "q6": top()}
+    assert substitute(e, extra) == substitute(e, f)
+    assert substitute(e, f).clauses == _substitute(e, f)
+    assert substitute(e, f) == Config([{"q1", "q3"}, {"q1", "z"}, {"q2", "w"}])
+    for missing in ("q1", "q3"):
+        partial = {q: t for q, t in extra.items() if q != missing}
+        with pytest.raises(KeyError) as raised:
+            substitute(e, partial)
+        assert raised.value.args == (missing,)
+
+
+def test_numbering_round_trips():
+    # clause(encode(c)) is c over numberings of up to 200 names, across the
+    # byte boundaries of the mask and past one machine word, against a
+    # name-by-name scan; a fresh numbering decodes masks it did not encode
+    rng = SplitMix64(31)
+    for n in (1, 7, 8, 9, 63, 64, 65, 200):
+        names = [f"n{i}" for i in range(n)]
+        clauses = [frozenset(), frozenset(names), frozenset(names[-1:])]
+        for _ in range(60):
+            p = rng.below(4)  # a draw from sparse to dense
+            clauses.append(frozenset(q for q in names if rng.below(4) <= p - 1 or rng.below(n) == 0))
+        encoder, decoder = _Numbering(names), _Numbering(names)
+        for c in clauses:
+            (m,) = encoder.encode([c])
+            assert m == sum(1 << i for i, q in enumerate(names) if q in c)
+            scanned = frozenset(q for i, q in enumerate(names) if m >> i & 1)
+            assert decoder.clause(m) == scanned == c
+            assert encoder.clause(m) == c
+            assert decoder.clause(m) is decoder.clause(m)  # one object per clause
 
 
 names = st.sampled_from(["q1", "q2", "q3", "q4", "q5", "q6"])

@@ -1,6 +1,6 @@
 """Compare the altia command line of this tree against another revision.
 
-Usage: python tools/cli_diff.py BASE_REV
+Usage: python tools/cli_diff.py [-h] BASE_REV
 
 Extracts ``BASE_REV`` with ``git archive`` into a temporary directory
 and runs one fixed command set over the models in ``models/`` in both
@@ -24,6 +24,10 @@ set has 538 commands for the nine models and ``NESTED_MODEL``:
 
 Any difference in stdout, stderr, exit code or written files is
 reported, and the exit code is then 1; it is 0 when the trees agree.
+``-h`` or ``--help`` prints this text and exits 0.  A wrong number of
+arguments, or a revision that ``git archive`` cannot read, prints an
+``error:`` line (``error: cannot archive REV: ...`` for the revision)
+and exits 2, so that no failure of the tool reads as differences found.
 """
 
 from __future__ import annotations
@@ -129,18 +133,26 @@ def first_difference(a: str, b: str) -> str:
 
 
 def main(argv: list[str]) -> int:
+    if argv in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
     if len(argv) != 1:
         print("usage: python tools/cli_diff.py BASE_REV", file=sys.stderr)
+        print("error: expected one revision", file=sys.stderr)
         return 2
     base_rev = argv[0]
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", base_rev, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        reason = archive.stderr.decode(errors="replace").strip() or f"exit {archive.returncode}"
+        print(f"error: cannot archive {base_rev}: {reason}", file=sys.stderr)
+        return 2
     models = [f"models/{f.name}" for f in sorted((REPO / "models").iterdir())]
     cmds = commands(models)
     with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
         base = Path(tmp) / "base"
         base.mkdir()
-        archive = subprocess.run(["git", "-C", str(REPO), "archive", base_rev, "src"],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         results = {}
         for side, tree in (("base", base), ("this", REPO)):
             results[side] = run_all(tree, Path(tmp) / f"work_{side}", cmds)
