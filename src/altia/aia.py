@@ -53,9 +53,18 @@ _IMAGE_MEMO_MAX_CLAUSES = 8
 
 class _MaskKernel:
     """One automaton's states as bits, its transitions as mask antichains,
-    and the memos of its steps; see :class:`AIA`."""
+    and the memos of its steps and names; see :class:`AIA`.
 
-    __slots__ = ("numbering", "transitions", "images", "steps", "configs", "masks", "initial")
+    The step memo may hold entries that this kernel never computed:
+    :func:`~altia.determinize.det` seeds its automaton's kernel with the
+    determinization table.  A count of step computations must therefore
+    not read the step memo's size as the number of steps computed; the
+    seeded entries were computed by the spec's kernel.
+    """
+
+    __slots__ = (
+        "numbering", "transitions", "images", "steps", "configs", "masks", "initial", "names",
+    )
 
     def __init__(self, s: AIA):
         self.numbering = _Numbering(sorted(s.states))
@@ -68,6 +77,7 @@ class _MaskKernel:
         self.initial = self.encode(s.initial)  # where every search starts
         self.images: dict[str, dict[int, _Masks]] = {l: {} for l in s.labels}
         self.steps: dict[tuple[_Masks, str], _Masks] = {}
+        self.names: dict[_Masks, str] = {}
 
     def encode(self, e: Config) -> _Masks:
         """The mask antichain of a configuration over this automaton's states."""
@@ -89,9 +99,13 @@ class _MaskKernel:
             self.masks[e] = m
         return e
 
-    def name(self, m) -> str:
-        """The expression string of the mask antichain ``m`` (see expr_str)."""
-        return _render(map(self.numbering.clause, m), quote_name)
+    def name(self, m: _Masks) -> str:
+        """The expression string of the mask antichain ``m`` (see expr_str),
+        rendered once per kernel: every later call returns that object."""
+        name = self.names.get(m)
+        if name is None:
+            name = self.names[m] = _render(map(self.numbering.clause, m), quote_name)
+        return name
 
     def image(self, c: int, label: str) -> _Masks:
         """The meet of the targets of clause ``c``'s members under ``label``."""
@@ -138,13 +152,16 @@ class AIA:
     The one piece of internal state is the mask kernel, built on first
     use.  It keeps one lattice numbering of the declared states, which
     never grows, so a configuration with an undeclared state is refused
-    with :class:`~altia.errors.ModelError`, and three memos: the step
+    with :class:`~altia.errors.ModelError`, and four memos: the step
     memo by ``(mask antichain, label)``, so every search over the
     automaton computes each step once; per label, the images (the meet of
     the members' targets) of clauses, when of at most
     ``_IMAGE_MEMO_MAX_CLAUSES`` clauses, since a successor is the join of
-    its clauses' images; and the boundary memo between mask antichains
-    and ``Config``, keyed by value and seeded with ``initial``, which
+    its clauses' images; the name memo, the expression string of each
+    mask antichain the kernel has named, so ``det`` and ``build_tester``
+    on one automaton render each configuration once and share the
+    strings; and the boundary memo between mask antichains and
+    ``Config``, keyed by value and seeded with ``initial``, which
     decodes each mask antichain once, so equal successors are one object,
     also from a configuration built apart.  The boundary memo stays for
     the step memo's sake: a ``Config`` a public step returned encodes back
@@ -153,12 +170,17 @@ class AIA:
     Without it, on ``conjoin``'s 8- and 9-fold conjunctions, a
     ``leq_aia(c, view)`` after public steps of ``c`` took a median 0.05
     and 0.12 ms against 0.01 ms, and the benchmark's ``conjoin`` op_p50_ms
-    went from 0.06 to 0.22 ms (2-core Xeon host).  All memos are freed
-    with the automaton.  They cache pure functions of the immutable
-    transitions and the state names: a race between threads can at worst
-    build two kernels, compute a successor, an image or a clause's names
-    twice, or keep two equal objects, and equal objects still compare
-    equal.
+    went from 0.06 to 0.22 ms (2-core Xeon host).  The automaton that
+    ``det`` returns arrives with its kernel built and its step memo
+    seeded: the determinization table over its own one-state mask
+    antichains, so the searches over it find every step of a state
+    computed already.  All memos are freed with the automaton.  They
+    cache pure functions of the immutable transitions and the state
+    names: a race between threads can at worst build two kernels,
+    compute a successor, an image, a clause's names or a configuration's
+    name twice, or keep two equal objects, and equal objects still
+    compare equal.  A seeded kernel is filled before ``det`` returns its
+    automaton, so no other thread sees it unseeded.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="aia"):
@@ -204,6 +226,21 @@ class AIA:
             table[q] = row
         self.transitions = table
         self._kernel: Optional[_MaskKernel] = None
+
+    @classmethod
+    def _valid(cls, states, inputs, outputs, transitions, initial, name) -> AIA:
+        """An automaton from parts that are valid by construction, taken as
+        they are: frozenset alphabets, a total table over ``states`` and
+        configurations over them, no input to bottom."""
+        self = object.__new__(cls)
+        self.name = name
+        self.states = frozenset(states)
+        self.inputs = inputs
+        self.outputs = outputs
+        self.initial = initial
+        self.transitions = transitions
+        self._kernel = None
+        return self
 
     @property
     def labels(self) -> frozenset[str]:
@@ -418,15 +455,15 @@ def induce_ia(s: AIA) -> IA:
             if label in s.inputs:
                 succs = succs - _TOP_MASKS
             if succs:
-                row[label] = {k.name((d,)) for d in succs}
+                row[label] = {k.name(frozenset((d,))) for d in succs}
                 for d in succs:
                     search.push(d)
-        trans[k.name((c,))] = row
+        trans[k.name(frozenset((c,)))] = row
     return IA(
         set(trans),
         s.inputs,
         s.outputs,
         trans,
-        {k.name((c,)) for c in k.initial},
+        {k.name(frozenset((c,))) for c in k.initial},
         name=f"ia({s.name})",
     )

@@ -25,20 +25,21 @@ def check_deterministic(s: AIA, cap: int = DEFAULT_CAP) -> bool:
     return simple(s._masks().initial) and all(map(simple, reachable(s, cap)))
 
 
-def _relabelled(s: AIA, cap: int, wrap, top_target, bot_target):
-    """``reachable(s, cap)`` with its configurations replaced by targets.
+def _relabelled(s: AIA, table, wrap, top_target, bot_target):
+    """``table``, the ``reachable`` table of ``s``, with its configurations
+    replaced by targets.
 
-    Each reachable configuration is named once, by the kernel's mask
-    renderer; a successor becomes ``wrap`` of its name, or ``top_target``
-    or ``bot_target`` for top and bottom, each one shared object.  Returns
-    the initial configuration's target and the rows by name.
+    Each reachable configuration is named by the kernel's mask renderer,
+    once per automaton; a successor becomes ``wrap`` of its name, or
+    ``top_target`` or ``bot_target`` for top and bottom, each one shared
+    object.  Returns the initial configuration's target and the rows by
+    name.
     """
     k = s._masks()
-    reach = reachable(s, cap)
-    names = {m: k.name(m) for m in reach}
+    names = {m: k.name(m) for m in table}
     target = {m: wrap(name) for m, name in names.items()}
     target.update({_TOP_MASKS: top_target, frozenset(): bot_target})
-    rows = {names[m]: {label: target[t] for label, t in row.items()} for m, row in reach.items()}
+    rows = {names[m]: {label: target[t] for label, t in row.items()} for m, row in table.items()}
     return target[k.initial], rows
 
 
@@ -50,6 +51,18 @@ def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
     configurations get distinct names); successors are re-wrapped as
     single states (or kept as top/bottom).  The result is always
     deterministic and has the same input-failure traces as ``s``.
+
+    The result is valid by construction and built without the
+    constructor's checks.  It arrives with its kernel's step memo filled:
+    the same table relabelled onto the result's own one-state mask
+    antichains, so searches over it compute no step of a state again.  It
+    holds no reference to ``s``.
     """
-    initial, trans = _relabelled(s, cap, embed, top(), bot())
-    return AIA(trans, s.inputs, s.outputs, trans, initial, name=f"det({s.name})")
+    table = reachable(s, cap)
+    initial, trans = _relabelled(s, table, embed, top(), bot())
+    d = AIA._valid(trans, s.inputs, s.outputs, trans, initial, f"det({s.name})")
+    k = d._masks()
+    single = {q: frozenset((b,)) for q, b in k.numbering.bit.items()}
+    _, rows = _relabelled(s, table, single.__getitem__, _TOP_MASKS, frozenset())
+    k.steps.update({(single[q], l): t for q, row in rows.items() for l, t in row.items()})
+    return d

@@ -30,7 +30,7 @@ from .errors import AlphabetError, ModelError
 from .ia import IA, FTrace, Label, inp
 from .lattice import Config, Kind, _Masks, bot, classify, embed, top
 from .rng import SplitMix64
-from .search import DEFAULT_CAP, Search
+from .search import DEFAULT_CAP, Search, reachable
 
 PASS = "pass"
 FAIL = "fail"
@@ -53,10 +53,12 @@ class Tester:
     """An interface automaton with swapped alphabets and verdict sinks.
 
     Every instance satisfies the tester contract (see
-    :func:`tester_problems`): the constructor checks it once and raises
+    :func:`tester_problems`), so test execution never checks it: the
+    constructor checks every instance it makes, once, and raises
     :class:`~altia.errors.ModelError` ("not a valid tester: ...") listing
-    every violation, so test execution never checks it again.  ``ia``
-    must therefore not be mutated after construction.
+    every violation.  Only :func:`build_tester`, whose testers hold the
+    contract by construction, makes one without the check.  ``ia`` must
+    not be mutated after construction.
     """
 
     ia: IA
@@ -65,6 +67,14 @@ class Tester:
         problems = tester_problems(self)
         if problems:
             raise ModelError("not a valid tester: " + "; ".join(problems))
+
+    @classmethod
+    def _valid(cls, ia: IA) -> Tester:
+        """A tester that satisfies the contract by construction, taken
+        without the check."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "ia", ia)
+        return t
 
     @property
     def stimuli(self) -> frozenset[str]:
@@ -90,8 +100,9 @@ def tester_problems(t: Tester) -> list[str]:
     and each stimulus offered together with its refusal observation,
     which leads to a verdict: a refusal ends a run, since it is the last
     label of an input-failure trace.
-    The :class:`Tester` constructor runs it, so it is empty for every
-    instance.
+    It is empty for every instance: the :class:`Tester` constructor runs
+    it, and :func:`build_tester` makes testers that satisfy it by
+    construction.
     """
     s = t.ia
     problems = []
@@ -134,7 +145,8 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
     behaviour).  A stimulus is offered only where the specification
     constrains it; its refusal observation then leads to ``fail``.
     Underspecified inputs are not tested at all: both accepting and
-    refusing them would pass.
+    refusing them would pass.  The result satisfies the tester contract
+    by construction and is returned without the constructor's check.
     """
     if PASS in s.states or FAIL in s.states:
         raise ModelError("specification states may not be named 'pass' or 'fail'")
@@ -149,7 +161,7 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
     # The tester relabels the determinization table: observations follow
     # the successor, a constrained stimulus also gets its refusal to fail.
     # No configuration is named 'pass' (checked above), so PASS marks top.
-    initial, table = _relabelled(s, cap, str, PASS, FAIL)
+    initial, table = _relabelled(s, reachable(s, cap), str, PASS, FAIL)
     for q, succ in table.items():
         row = {x: {succ[x]} for x in s.outputs}
         for a in s.inputs:
@@ -158,7 +170,7 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
                 row[refusal(a)] = {FAIL}
         trans[q] = row
     t_outputs = set(s.inputs) | {refusal(a) for a in s.inputs}
-    return Tester(
+    return Tester._valid(
         IA(set(trans), s.outputs, t_outputs, trans, {initial}, name=f"tester({s.name})")
     )
 

@@ -191,7 +191,10 @@ AWKWARD = ("T", "F", "a&b", "x y", "~q", '"', "p", "q0")
 def test_mask_names_render_wide_configurations():
     # The kernel's names of mask antichains against expr_str of the
     # configurations, on joins and meets of several draws, so that most
-    # have many clauses, and back through the parser.
+    # have many clauses, and back through the parser.  Each name is
+    # rendered once per kernel: asking again, also with an equal mask
+    # antichain built apart, returns the same object.
+    from altia import build_tester, det
     from altia.io import parse_expr
     from altia.lattice import expr_str, join_all
 
@@ -203,9 +206,19 @@ def test_mask_names_render_wide_configurations():
         parts = [rand_config(rng, AWKWARD) for _ in range(2 + rng.below(4))]
         e = (join_all if rng.below(2) else meet_all)(parts)
         wide += len(e.clauses) >= 3
-        assert k.name(k.encode(e)) == expr_str(e)
+        m = k.encode(e)
+        name = k.name(m)
+        assert name == expr_str(e) == expr_str(k.decode(m))
+        assert k.name(m) is name and k.name(frozenset(set(m))) is name
         assert parse_expr(expr_str(e)) == e
     assert wide >= 120  # 135 of the 300 on this seed
+    # det and build_tester name the same table once: the same strings
+    for s in rand_aia_stepping(SplitMix64(911), 20, n_states=len(AWKWARD)):
+        s = rename_states(s, {q: AWKWARD[int(q[1:])] for q in s.states})
+        d, t = det(s), build_tester(s)
+        names = {q: q for q in d.states}
+        assert t.ia.states == d.states | {"pass", "fail"}
+        assert all(names[q] is q for q in t.ia.states - {"pass", "fail"})
 
 
 def test_induce_ia_names_states_by_their_clause():

@@ -115,6 +115,58 @@ def test_det_commutes_with_after():
             assert lifted == embed(str(e))
 
 
+def _cold_copy(d):
+    # the same automaton through the validating constructor, with a kernel
+    # that computes every step itself
+    return AIA(d.states, d.inputs, d.outputs, d.transitions, d.initial, name=d.name)
+
+
+def test_det_kernel_is_seeded_exactly(models_dir):
+    # det's automaton arrives with its step memo filled from the det table;
+    # each seeded step, the public step and both refinement searches agree
+    # with a validated copy whose kernel starts cold.
+    from altia.io import load_model
+
+    rng = SplitMix64(47)
+    specs = rand_aia_stepping(rng, 100, n_states=6)
+    specs += [rand_aia(rng, n_states=6) for _ in range(30)]  # 12 start at top or bottom
+    specs += [load_model(p) for p in sorted(models_dir.glob("*.aia"))]
+    seeded = refuted = 0
+    for s in specs:
+        d = det(s)
+        c = _cold_copy(d)
+        assert d == c and d.name == c.name
+        k, kc = d._masks(), c._masks()
+        assert not kc.steps and len(k.steps) == len(d.states) * len(d.labels)
+        seeded += len(k.steps)
+        for (m, label), t in list(k.steps.items()):
+            assert kc.step(m, label) == t
+        for q in d.states:
+            for label in d.labels:
+                assert d.step(embed(q), label) == c.step(embed(q), label)
+        if len(d.states) > 1:  # a compound configuration is stepped as usual
+            both = embed(min(d.states)) & embed(max(d.states))
+            for label in d.labels:
+                assert d.step(both, label) == c.step(both, label)
+        other = rand_aia(rng, n_states=4, inputs=sorted(s.inputs), outputs=sorted(s.outputs))
+        for right in (s, other):
+            for a, b in ((d, right), (right, d)):
+                got = leq_aia(a, b)
+                assert got == leq_aia(c if a is d else a, c if b is d else b)
+                refuted += not got.holds
+        if d.states:  # a trivial initial configuration is not searched from
+            with pytest.raises(ExplorationLimitError):
+                det(s, cap=len(d.states) - 1)
+        assert det(s, cap=len(d.states)) == d
+    assert seeded > 15000 and refuted > 150  # 19,528 and 183 on this seed
+    # a top or bottom initial configuration has no configuration to seed
+    for initial in (top(), bot()):
+        s = AIA(("q",), ("a",), ("x",), {"q": {"x": embed("q")}}, initial)
+        d = det(s)
+        assert d == _cold_copy(d) and not d.states and d.initial == initial
+        assert not d._masks().steps and leq_aia(s, d) and leq_aia(d, s)
+
+
 def test_state_names_resembling_expressions_stay_distinct():
     # a state whose *name* looks like a conjunction must not alias the
     # actual conjunction of the states it mentions
@@ -179,19 +231,26 @@ def test_tester_relabels_det_table():
 def test_exploration_frees_its_configurations():
     # No global table keeps configurations alive: once the spec and the
     # results are dropped, every configuration they made is freed, the
-    # step and clause-image memos' entries too.
+    # step and clause-image memos' entries too.  det's automaton, whose
+    # kernel arrives seeded, keeps neither the spec nor its kernel alive.
     import gc
+    import weakref
 
+    from altia.aia import _MaskKernel
     from altia.lattice import Config
 
-    def live_configs():
+    def live(kind):
         gc.collect()
-        return sum(isinstance(o, Config) for o in gc.get_objects())
+        return sum(isinstance(o, kind) for o in gc.get_objects())
 
-    baseline = live_configs()
+    baseline, kernels = live(Config), live(_MaskKernel)
     s = rand_aia(SplitMix64(5), n_states=30)  # 9 states, 1150 configurations
     d, t, v = det(s), build_tester(s), induce_ia(s)
     assert len(d.states) > 1000 and leq_aia(s, d)
-    assert live_configs() > baseline + 1000
-    del s, d, t, v
-    assert live_configs() == baseline
+    assert live(Config) > baseline + 1000 and live(_MaskKernel) == kernels + 2
+    spec = weakref.ref(s)
+    del s, t, v
+    assert spec() is None and live(_MaskKernel) == kernels + 1
+    assert leq_aia(d, d).pairs_explored == len(d.states)
+    del d
+    assert live(Config) == baseline and live(_MaskKernel) == kernels

@@ -64,6 +64,21 @@ def test_tester_well_formed(machine, widget, scenario):
         assert t.observations == s.outputs
 
 
+def test_built_testers_satisfy_the_contract(machine, widget):
+    # build_tester returns its tester without the constructor's check: the
+    # contract holds by construction, and the checked constructor takes
+    # the same automaton to an equal tester.
+    rng = SplitMix64(71)
+    specs = [rand_aia(rng, n_states=5) for _ in range(120)] + [machine, widget]
+    trivial = sum(s.initial.is_top or s.initial.is_bot for s in specs)
+    singular = [gen_singular(s, seed=rng.next64(), max_depth=5, p_stop=0.2) for s in specs]
+    for s in specs + singular:
+        t = build_tester(s)
+        assert mbt.tester_problems(t) == []
+        assert mbt.Tester(t.ia) == t
+    assert trivial >= 20  # 45 on this seed: testers without a configuration state
+
+
 def test_tester_of_unconstrained_spec_starts_passing():
     t = build_tester(aia_top(("a",), ("x",)))
     assert t.initial == "pass"
