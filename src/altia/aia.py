@@ -32,8 +32,9 @@ from .lattice import (
     _mask_antichain,
     _mask_meet,
     _Numbering,
+    _clause_text,
     _from_antichain,
-    _render,
+    _write,
     bot,
     quote_name,
     top,
@@ -55,6 +56,19 @@ class _MaskKernel:
     """One automaton's states as bits, its transitions as mask antichains,
     and the memos of its steps and names; see :class:`AIA`.
 
+    Every successor the step memo holds is one object per value: the
+    successor memo ``successors``, seeded with top, bottom and
+    ``initial``, gives each new successor the first object of its value.
+    The table that :func:`~altia.search.reachable` returns therefore holds
+    its own key objects in its rows, and every dict or set keyed by those
+    keys finds a successor by identity instead of comparing clause masks.
+
+    The name memo renders a mask antichain from per-clause entries kept
+    once per kernel: each clause mask's bit indices, which sort exactly
+    like its sorted member names, since bits are numbered in sorted-name
+    order, and its text, from the members' quoted names, each state quoted
+    once per kernel.
+
     The step memo may hold entries that this kernel never computed:
     :func:`~altia.determinize.det` seeds its automaton's kernel with the
     determinization table.  A count of step computations must therefore
@@ -63,7 +77,8 @@ class _MaskKernel:
     """
 
     __slots__ = (
-        "numbering", "transitions", "images", "steps", "configs", "masks", "initial", "names",
+        "numbering", "transitions", "images", "steps", "successors", "configs", "masks",
+        "initial", "names", "clause_texts", "quoted",
     )
 
     def __init__(self, s: AIA):
@@ -77,7 +92,15 @@ class _MaskKernel:
         self.initial = self.encode(s.initial)  # where every search starts
         self.images: dict[str, dict[int, _Masks]] = {l: {} for l in s.labels}
         self.steps: dict[tuple[_Masks, str], _Masks] = {}
+        bottom, initial = frozenset(), self.initial
+        # initial last: a top or bottom initial configuration is its own object
+        self.successors: dict[_Masks, _Masks] = {
+            _TOP_MASKS: _TOP_MASKS, bottom: bottom, initial: initial,
+        }
         self.names: dict[_Masks, str] = {}
+        # clause mask -> (its bit indices, its text)
+        self.clause_texts: dict[int, tuple[tuple[int, ...], str]] = {}
+        self.quoted: Optional[tuple[str, ...]] = None  # the states' quoted names, in bit order
 
     def encode(self, e: Config) -> _Masks:
         """The mask antichain of a configuration over this automaton's states."""
@@ -104,8 +127,19 @@ class _MaskKernel:
         rendered once per kernel: every later call returns that object."""
         name = self.names.get(m)
         if name is None:
-            name = self.names[m] = _render(map(self.numbering.clause, m), quote_name)
+            texts = self.clause_texts
+            # bit-index tuples of distinct clauses differ: no text is compared
+            entries = sorted([texts.get(c) or self._clause_entry(c) for c in m])
+            name = self.names[m] = _write([text for _, text in entries])
         return name
+
+    def _clause_entry(self, c: int) -> tuple[tuple[int, ...], str]:
+        quoted = self.quoted
+        if quoted is None:
+            quoted = self.quoted = tuple(map(quote_name, self.numbering.names))
+        bits = self.numbering.indices(c)
+        entry = self.clause_texts[c] = (bits, _clause_text([quoted[i] for i in bits]))
+        return entry
 
     def image(self, c: int, label: str) -> _Masks:
         """The meet of the targets of clause ``c``'s members under ``label``."""
@@ -136,7 +170,7 @@ class _MaskKernel:
                 joined |= img
             # one clause's image is an antichain already
             succ = img if len(e) == 1 else _mask_antichain(joined)
-            self.steps[key] = succ
+            succ = self.steps[key] = self.successors.setdefault(succ, succ)
         return succ
 
 
@@ -152,18 +186,24 @@ class AIA:
     The one piece of internal state is the mask kernel, built on first
     use.  It keeps one lattice numbering of the declared states, which
     never grows, so a configuration with an undeclared state is refused
-    with :class:`~altia.errors.ModelError`, and four memos: the step
+    with :class:`~altia.errors.ModelError`, and five memos: the step
     memo by ``(mask antichain, label)``, so every search over the
-    automaton computes each step once; per label, the images (the meet of
-    the members' targets) of clauses, when of at most
-    ``_IMAGE_MEMO_MAX_CLAUSES`` clauses, since a successor is the join of
-    its clauses' images; the name memo, the expression string of each
-    mask antichain the kernel has named, so ``det`` and ``build_tester``
-    on one automaton render each configuration once and share the
-    strings; and the boundary memo between mask antichains and
-    ``Config``, keyed by value and seeded with ``initial``, which
-    decodes each mask antichain once, so equal successors are one object,
-    also from a configuration built apart.  The boundary memo stays for
+    automaton computes each step once; the successor memo, seeded with
+    top, bottom and the initial configuration, which gives every new
+    successor the first object of its value, so the determinization
+    table's rows hold its own keys, and the searches' seen-sets and the
+    relabellings of ``det`` and ``build_tester`` find each successor by
+    identity; per label, the images (the meet of the members' targets)
+    of clauses, when of at most ``_IMAGE_MEMO_MAX_CLAUSES`` clauses,
+    since a successor is the join of its clauses' images; the name memo,
+    the expression string of each mask antichain the kernel has named,
+    built from each clause's text and sort key and each state's quoted
+    name, all kept once per kernel, so ``det`` and ``build_tester`` on
+    one automaton render each configuration once and share the strings;
+    and the boundary memo between mask antichains and ``Config``, keyed
+    by value and seeded with ``initial``, which decodes each mask
+    antichain once, so equal successors are one object, also from a
+    configuration built apart.  The boundary memo stays for
     the step memo's sake: a ``Config`` a public step returned encodes back
     to the very mask antichain the searches step, so their step-memo keys
     hit by identity instead of comparing thousands of clause masks.
@@ -173,14 +213,15 @@ class AIA:
     went from 0.06 to 0.22 ms (2-core Xeon host).  The automaton that
     ``det`` returns arrives with its kernel built and its step memo
     seeded: the determinization table over its own one-state mask
-    antichains, so the searches over it find every step of a state
-    computed already.  All memos are freed with the automaton.  They
-    cache pure functions of the immutable transitions and the state
-    names: a race between threads can at worst build two kernels,
-    compute a successor, an image, a clause's names or a configuration's
-    name twice, or keep two equal objects, and equal objects still
-    compare equal.  A seeded kernel is filled before ``det`` returns its
-    automaton, so no other thread sees it unseeded.
+    antichains, one object of its successor memo each, so the searches
+    over it find every step of a state computed already.  All memos are
+    freed with the automaton.  They cache pure functions of the immutable
+    transitions and the state names: a race between threads can at worst
+    build two kernels, compute a successor, an image, a clause's names or
+    text, the quoted state names or a configuration's name twice, or keep
+    two equal objects, and equal objects still compare equal.  A seeded
+    kernel is filled before ``det`` returns its automaton, so no other
+    thread sees it unseeded.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="aia"):

@@ -26,21 +26,21 @@ def check_deterministic(s: AIA, cap: int = DEFAULT_CAP) -> bool:
 
 
 def _relabelled(s: AIA, table, wrap, top_target, bot_target):
-    """``table``, the ``reachable`` table of ``s``, with its configurations
-    replaced by targets.
+    """The names and targets of the configurations of ``table``, the
+    ``reachable`` table of ``s``.
 
     Each reachable configuration is named by the kernel's mask renderer,
-    once per automaton; a successor becomes ``wrap`` of its name, or
-    ``top_target`` or ``bot_target`` for top and bottom, each one shared
-    object.  Returns the initial configuration's target and the rows by
-    name.
+    once per automaton, and its target is ``wrap`` of its name; top and
+    bottom target ``top_target`` and ``bot_target``.  Both dicts are keyed
+    by the table's own mask antichains, which its rows hold, so a lookup
+    of a successor hits by identity.
     """
     k = s._masks()
     names = {m: k.name(m) for m in table}
     target = {m: wrap(name) for m, name in names.items()}
-    target.update({_TOP_MASKS: top_target, frozenset(): bot_target})
-    rows = {names[m]: {label: target[t] for label, t in row.items()} for m, row in table.items()}
-    return target[k.initial], rows
+    target[_TOP_MASKS] = top_target
+    target[frozenset()] = bot_target
+    return names, target
 
 
 def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
@@ -54,15 +54,22 @@ def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
 
     The result is valid by construction and built without the
     constructor's checks.  It arrives with its kernel's step memo filled:
-    the same table relabelled onto the result's own one-state mask
-    antichains, so searches over it compute no step of a state again.  It
-    holds no reference to ``s``.
+    the same table over the result's own one-state mask antichains, each
+    one object of the new kernel's successor memo, so searches over it
+    compute no step of a state again.  It holds no reference to ``s``.
     """
     table = reachable(s, cap)
-    initial, trans = _relabelled(s, table, embed, top(), bot())
+    names, target = _relabelled(s, table, embed, top(), bot())
+    trans = {names[m]: {l: target[t] for l, t in row.items()} for m, row in table.items()}
+    initial = target[s._masks().initial]
     d = AIA._valid(trans, s.inputs, s.outputs, trans, initial, f"det({s.name})")
     k = d._masks()
-    single = {q: frozenset((b,)) for q, b in k.numbering.bit.items()}
-    _, rows = _relabelled(s, table, single.__getitem__, _TOP_MASKS, frozenset())
-    k.steps.update({(single[q], l): t for q, row in rows.items() for l, t in row.items()})
+    bit, one = k.numbering.bit, k.successors
+    single = {_TOP_MASKS: _TOP_MASKS, frozenset(): frozenset()}
+    for m, name in names.items():
+        mask = frozenset((bit[name],))
+        single[m] = one.setdefault(mask, mask)
+    k.steps.update(
+        {(single[m], l): single[t] for m, row in table.items() for l, t in row.items()}
+    )
     return d

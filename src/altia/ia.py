@@ -91,6 +91,22 @@ class IA:
                     table.setdefault(q, {})[label] = ss
         self.transitions = table
 
+    @classmethod
+    def _valid(cls, states, inputs, outputs, transitions, initial, name) -> IA:
+        """An automaton from parts that are valid by construction, taken
+        as they are: frozensets for the states, alphabets, initial states
+        and successor sets, and the table the constructor would store,
+        which has no empty successor set and no empty row.  The caller
+        makes every check of the constructor that its own input can fail."""
+        self = object.__new__(cls)
+        self.name = name
+        self.states = states
+        self.inputs = inputs
+        self.outputs = outputs
+        self.initial = initial
+        self.transitions = transitions
+        return self
+
     @property
     def labels(self) -> frozenset[str]:
         return self.inputs | self.outputs

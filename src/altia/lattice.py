@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import compress
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Clause = frozenset[str]
 
@@ -96,6 +96,10 @@ def _mask_meet(a: _Masks, b: _Masks) -> _Masks:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _selector(m: int) -> bytes:
+    return bin(m)[:1:-1].encode().translate(_BIT_BYTES)
+
+
 class _Numbering:
     """A fixed set of state names as bits, which never grows: encoding any
     other name raises ``KeyError``.  Decoding reuses the clause frozensets
@@ -123,9 +127,13 @@ class _Numbering:
         """The state names of a clause mask, one object per clause."""
         names = self.clauses.get(m)
         if names is None:
-            selected = bin(m)[:1:-1].encode().translate(_BIT_BYTES)
-            names = self.clauses[m] = frozenset(compress(self.names, selected))
+            names = self.clauses[m] = frozenset(compress(self.names, _selector(m)))
         return names
+
+    def indices(self, m: int) -> tuple[int, ...]:
+        """The bits of a clause mask, lowest first: the positions of its
+        members in ``names``."""
+        return tuple(compress(range(len(self.names)), _selector(m)))
 
     def decode(self, masks: Iterable[int]) -> Config:
         """The configuration of a mask antichain, without re-canonicalizing."""
@@ -328,12 +336,22 @@ def sorted_clauses(clauses: Iterable[Clause]) -> list[list[str]]:
     return sorted(sorted(c) for c in clauses)
 
 
+# The one writer of configurations, in two parts so that a caller can keep
+# each clause's text: a clause is its written names, in sorted order,
+# joined by "&", or "T" for the empty one; a configuration is its clause
+# texts, in sorted clause order, joined by " | ", or "F" for no clause.
+
+
+def _clause_text(names: Sequence[str]) -> str:
+    return "&".join(names) if names else "T"
+
+
+def _write(clause_texts: Sequence[str]) -> str:
+    return " | ".join(clause_texts) if clause_texts else "F"
+
+
 def _render(clauses: Iterable[Clause], name: Callable[[str], str]) -> str:
-    # the one writer of configurations: "F" for no clause, "T" for the empty one
-    clauses = sorted_clauses(clauses)
-    if clauses in ([], [[]]):
-        return "T" if clauses else "F"
-    return " | ".join("&".join(map(name, clause)) for clause in clauses)
+    return _write([_clause_text(list(map(name, c))) for c in sorted_clauses(clauses)])
 
 
 def expr_str(e: Config) -> str:

@@ -15,9 +15,12 @@ shortest label sequence.
 Configurations are searched as mask antichains, the integer form each
 automaton steps internally (see :mod:`altia.aia`): :func:`reachable`
 starts from the kernel's encoding of the initial configuration and
-explores, steps and returns masks only.  Its callers name, relabel or
-test the masks; none decodes them.  ``refine.leq_aia`` searches pairs of
-mask antichains the same way.
+explores, steps and returns masks only.  Its rows hold the table's own
+key objects, since the kernel keeps one object per successor value, so
+the seen-set and every dict keyed by the table find a successor by
+identity.  Its callers name, relabel or test the masks; none decodes
+them.  ``refine.leq_aia`` searches pairs of mask antichains the same
+way.
 """
 
 from __future__ import annotations

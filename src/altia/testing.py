@@ -34,6 +34,7 @@ from .search import DEFAULT_CAP, Search, reachable
 
 PASS = "pass"
 FAIL = "fail"
+_PASS, _FAIL = frozenset((PASS,)), frozenset((FAIL,))  # shared by every built tester
 
 
 def refusal(name: str) -> str:
@@ -153,25 +154,35 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
     for a in s.inputs:
         if is_refusal(a):
             raise ModelError(f"input {a!r} clashes with the refusal-label prefix")
-    trans: dict[str, dict[str, set[str]]] = {
-        PASS: {x: {PASS} for x in s.outputs},
-        FAIL: {x: {FAIL} for x in s.outputs},
-    }
-
+    # The one check of IA() that outside input can fail: an output of s
+    # named like the refusal of one of its inputs.
+    t_outputs = s.inputs | {refusal(a) for a in s.inputs}
+    overlap = s.outputs & t_outputs
+    if overlap:
+        raise AlphabetError(f"inputs and outputs overlap: {sorted(overlap)}")
     # The tester relabels the determinization table: observations follow
     # the successor, a constrained stimulus also gets its refusal to fail.
     # No configuration is named 'pass' (checked above), so PASS marks top.
-    initial, table = _relabelled(s, reachable(s, cap), str, PASS, FAIL)
-    for q, succ in table.items():
-        row = {x: {succ[x]} for x in s.outputs}
+    # Rows are built as IA() would store them: frozensets, no empty row.
+    table = reachable(s, cap)
+    names, target = _relabelled(s, table, lambda q: frozenset((q,)), _PASS, _FAIL)
+    trans: dict[str, dict[str, frozenset[str]]] = {}
+    if s.outputs:
+        trans[PASS] = dict.fromkeys(s.outputs, _PASS)
+        trans[FAIL] = dict.fromkeys(s.outputs, _FAIL)
+    for m, succ in table.items():
+        row = {x: target[succ[x]] for x in s.outputs}
         for a in s.inputs:
-            if succ[a] != PASS:  # an underspecified (top) input is not tested
-                row[a] = {succ[a]}
-                row[refusal(a)] = {FAIL}
-        trans[q] = row
-    t_outputs = set(s.inputs) | {refusal(a) for a in s.inputs}
+            t = succ[a]
+            if 0 not in t:  # an underspecified (top) input is not tested
+                row[a] = target[t]
+                row[refusal(a)] = _FAIL
+        if row:
+            trans[names[m]] = row
+    states = frozenset((PASS, FAIL, *names.values()))
+    initial = target[s._masks().initial]
     return Tester._valid(
-        IA(set(trans), s.outputs, t_outputs, trans, {initial}, name=f"tester({s.name})")
+        IA._valid(states, s.outputs, t_outputs, trans, initial, f"tester({s.name})")
     )
 
 

@@ -186,39 +186,59 @@ def test_induce_ia_chaotic_state():
 # State names that each need quoting, mixed with plain ones; their
 # sorted order differs from that of their quoted forms.
 AWKWARD = ("T", "F", "a&b", "x y", "~q", '"', "p", "q0")
+# Names whose quoted forms, clause texts and sorted name lists order
+# differently: "a" is a prefix of "a b" and "a_1", whose quoted form
+# sorts first, "q10" sorts before "q2", and '"T"' and "~q" are quoted.
+PREFIXED = ("a", "a b", "a_1", "A", '"T"', "~q", "q10", "q2")
 
 
 def test_mask_names_render_wide_configurations():
     # The kernel's names of mask antichains against expr_str of the
     # configurations, on joins and meets of several draws, so that most
-    # have many clauses, and back through the parser.  Each name is
+    # have many clauses, and back through the parser.  The kernel sorts
+    # clauses by their bit indices and writes each from quoted names it
+    # keeps; clause orders that a sort by text would get wrong must
+    # appear: two clauses where one's text is a proper prefix of the
+    # other's, or whose texts sort unlike their name lists.  Each name is
     # rendered once per kernel: asking again, also with an equal mask
     # antichain built apart, returns the same object.
     from altia import build_tester, det
     from altia.io import parse_expr
-    from altia.lattice import expr_str, join_all
+    from altia.lattice import expr_str, join_all, quote_name
 
-    s = AIA(AWKWARD, (), (), {}, top())
-    k = s._masks()
-    rng = SplitMix64(909)
-    wide = 0
-    for _ in range(300):
-        parts = [rand_config(rng, AWKWARD) for _ in range(2 + rng.below(4))]
-        e = (join_all if rng.below(2) else meet_all)(parts)
-        wide += len(e.clauses) >= 3
-        m = k.encode(e)
-        name = k.name(m)
-        assert name == expr_str(e) == expr_str(k.decode(m))
-        assert k.name(m) is name and k.name(frozenset(set(m))) is name
-        assert parse_expr(expr_str(e)) == e
-    assert wide >= 120  # 135 of the 300 on this seed
+    def text(clause):
+        return "&".join(map(quote_name, clause))
+
+    for names, seed in ((AWKWARD, 909), (PREFIXED, 912)):
+        s = AIA(names, (), (), {}, top())
+        k = s._masks()
+        rng = SplitMix64(seed)
+        wide = prefix = unlike = 0
+        for _ in range(300):
+            parts = [rand_config(rng, names) for _ in range(2 + rng.below(4))]
+            e = (join_all if rng.below(2) else meet_all)(parts)
+            wide += len(e.clauses) >= 3
+            lists = sorted(sorted(c) for c in e.clauses)
+            pairs = [(a, b) for i, a in enumerate(lists) for b in lists[i + 1:]]
+            prefix += any(text(b).startswith(text(a)) or text(a).startswith(text(b))
+                          for a, b in pairs)
+            unlike += any(text(a) > text(b) for a, b in pairs)
+            m = k.encode(e)
+            name = k.name(m)
+            assert name == expr_str(e) == expr_str(k.decode(m))
+            assert k.name(m) is name and k.name(frozenset(set(m))) is name
+            assert parse_expr(expr_str(e)) == e
+        assert wide >= 120  # 135 and 136 of the 300 on these seeds
+        if names == PREFIXED:
+            assert prefix >= 15 and unlike >= 60  # 19 and 92 on this seed
     # det and build_tester name the same table once: the same strings
-    for s in rand_aia_stepping(SplitMix64(911), 20, n_states=len(AWKWARD)):
-        s = rename_states(s, {q: AWKWARD[int(q[1:])] for q in s.states})
-        d, t = det(s), build_tester(s)
-        names = {q: q for q in d.states}
-        assert t.ia.states == d.states | {"pass", "fail"}
-        assert all(names[q] is q for q in t.ia.states - {"pass", "fail"})
+    for names in (AWKWARD, PREFIXED):
+        for s in rand_aia_stepping(SplitMix64(911), 20, n_states=len(names)):
+            s = rename_states(s, {q: names[int(q[1:])] for q in s.states})
+            d, t = det(s), build_tester(s)
+            named = {q: q for q in d.states}
+            assert t.ia.states == d.states | {"pass", "fail"}
+            assert all(named[q] is q for q in t.ia.states - {"pass", "fail"})
 
 
 def test_induce_ia_names_states_by_their_clause():
@@ -380,6 +400,30 @@ def test_step_returns_one_object_per_successor():
                 t = s.step(e, l)
                 assert one.setdefault(t, t) is t
     assert stepping == 20
+
+
+def test_reachable_rows_hold_the_table_keys():
+    # The kernel keeps one object per successor value, so every nontrivial
+    # successor in reachable's rows is the table's own key object and the
+    # searches and relabellings find it by identity; the step memo holds
+    # one object per value, top and bottom among them.  det's automaton,
+    # whose step memo is seeded, keeps both.
+    from altia import det
+
+    entries = 0
+    for s in rand_aia_stepping(SplitMix64(72), 30, n_states=6):
+        for a in (s, det(s)):
+            table = reachable(a)
+            keys = {m: m for m in table}
+            for row in table.values():
+                for t in row.values():
+                    if t and 0 not in t:
+                        assert t is keys[t]
+                        entries += 1
+            one: dict = {}
+            for t in a._masks().steps.values():
+                assert one.setdefault(t, t) is t
+    assert entries >= 2000  # 4,958 on this seed
 
 
 def test_step_is_substitution_on_larger_specs():

@@ -67,16 +67,34 @@ def test_tester_well_formed(machine, widget, scenario):
 def test_built_testers_satisfy_the_contract(machine, widget):
     # build_tester returns its tester without the constructor's check: the
     # contract holds by construction, and the checked constructor takes
-    # the same automaton to an equal tester.
+    # the same automaton to an equal tester.  Its interface automaton is
+    # built unchecked too, and equals the checked IA of its parts, which
+    # keeps no empty row: specs without outputs, without inputs, and with
+    # every input underspecified give states without a row, and without
+    # outputs the verdict states have none.
+    from altia import AIA
+
     rng = SplitMix64(71)
     specs = [rand_aia(rng, n_states=5) for _ in range(120)] + [machine, widget]
     trivial = sum(s.initial.is_top or s.initial.is_bot for s in specs)
     singular = [gen_singular(s, seed=rng.next64(), max_depth=5, p_stop=0.2) for s in specs]
-    for s in specs + singular:
+    no_outputs = [rand_aia(rng, n_states=5, outputs=()) for _ in range(20)]
+    no_inputs = [rand_aia(rng, n_states=5, inputs=()) for _ in range(20)]
+    top_inputs = [
+        AIA(s.states, s.inputs, s.outputs,
+            {q: {x: row[x] for x in s.outputs} for q, row in s.transitions.items()}, s.initial)
+        for s in [rand_aia(rng, n_states=5) for _ in range(20)] + no_outputs[:5]
+    ]
+    rowless = 0
+    for s in specs + singular + no_outputs + no_inputs + top_inputs:
         t = build_tester(s)
         assert mbt.tester_problems(t) == []
         assert mbt.Tester(t.ia) == t
+        i = t.ia
+        assert i == IA(i.states, i.inputs, i.outputs, i.transitions, i.initial)
+        rowless += len(i.states) - len(i.transitions)
     assert trivial >= 20  # 45 on this seed: testers without a configuration state
+    assert rowless >= 30  # 52 on this seed
 
 
 def test_tester_of_unconstrained_spec_starts_passing():
@@ -101,6 +119,22 @@ def test_tester_rejects_an_input_with_the_refusal_prefix():
     with pytest.raises(ModelError) as err:
         build_tester(s)
     assert str(err.value) == "input '~a' clashes with the refusal-label prefix"
+
+
+def test_tester_rejects_an_output_named_like_a_refusal(tmp_path, capsys):
+    # The refusal of input a is a tester output; an output '~a' of the spec
+    # is a tester input of that name, so the tester's alphabets would overlap.
+    from altia import AIA
+    from altia.lattice import embed
+
+    s = AIA(("q0",), ("a",), ("~a",), {}, embed("q0"))
+    with pytest.raises(AlphabetError) as err:
+        build_tester(s)
+    assert str(err.value) == "inputs and outputs overlap: ['~a']"
+    path = tmp_path / "clash.aia"
+    path.write_text("aia clash\nstates q0\ninputs a\noutputs ~a\ninit q0\nq0 ?a -> q0\n")
+    assert cli_main(["tester", str(path)]) == 2
+    assert capsys.readouterr().err == "error: inputs and outputs overlap: ['~a']\n"
 
 
 # ------------------------------------------------------------- execution

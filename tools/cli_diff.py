@@ -6,7 +6,8 @@ Extracts ``BASE_REV`` with ``git archive`` into a temporary directory
 and runs one fixed command set over the models in ``models/`` in both
 trees, one ``python -m altia`` process per command.  Both trees read the
 same copy of this tree's ``models/``, so only the program differs.  The
-set has 538 commands for the nine models and ``NESTED_MODEL``:
+set has 542 commands for the nine models, ``NESTED_MODEL`` and
+``AWKWARD_MODEL``:
 
 - per model: ``check``, ``det`` to stdout and to a file, ``tester`` to a
   file, ``to-ia``, ``to-aia``, ``dot`` and ``testgen`` twice, with the
@@ -20,7 +21,9 @@ set has 538 commands for the nine models and ``NESTED_MODEL``:
   and ``run --runs 3 --json``;
 - on ``NESTED_MODEL``, which the tool writes into each work directory:
   ``check``, ``det``, ``dot``, ``to-ia`` and ``member`` per trace of
-  ``NESTED_TRACES``.
+  ``NESTED_TRACES``;
+- on ``AWKWARD_MODEL``, also written by the tool: ``det``, ``tester``,
+  ``to-ia`` and ``dot``.
 
 Any difference in stdout, stderr, exit code or written files is
 reported, and the exit code is then 1; it is 0 when the trees agree.
@@ -62,10 +65,30 @@ s1 !y -> ((("~q")))
 """
 NESTED_TRACES = ("?a", "!x !x", "!y")
 
+# State names whose quoted forms, clause texts and sorted order disagree:
+# "a" is a prefix of "a b" and "a_1", "q10" sorts before "q2", and '"T"'
+# and "~q" are quoted; the determinized states are wide configurations.
+AWKWARD_MODEL = r"""aia awkward
+inputs i j
+outputs x y
+init a | "a b" & q2 | a_1 & q10
+a ?i -> a_1 | "a b" & q10 | A & q2
+"a b" ?i -> "\"T\"" | a & q2 | q10
+"a b" !x -> a | a_1 & q10
+a_1 !x -> a | "~q" & q10 | "a b"
+A ?j -> q10 | q2 & a | "a b" & a_1
+"\"T\"" !y -> a & A | "a b" | q2 & "~q"
+"~q" ?i -> q2 | a_1 & "a b" | a & q10
+q10 !x -> "\"T\"" & "~q" | a | A & a_1
+q2 !y -> a_1 | A | "a b" & "~q"
+q2 ?j -> a & q10 | q2
+"""
+
 
 def commands(models: list[str]) -> list[list[str]]:
     """The command set, each command as altia's arguments, with paths
-    relative to a work directory holding ``models/`` and ``nested.aia``."""
+    relative to a work directory holding ``models/``, ``nested.aia`` and
+    ``awkward.aia``."""
     stems = [Path(m).stem for m in models]
     cmds = []
     for m, stem in zip(models, stems):
@@ -96,6 +119,7 @@ def commands(models: list[str]) -> list[list[str]]:
             ]
     cmds += [[command, "nested.aia"] for command in ("check", "det", "dot", "to-ia")]
     cmds += [["member", "nested.aia", "--trace", trace] for trace in NESTED_TRACES]
+    cmds += [[command, "awkward.aia"] for command in ("det", "tester", "to-ia", "dot")]
     return cmds
 
 
@@ -106,6 +130,7 @@ def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, st
     for f in sorted((REPO / "models").iterdir()):
         (work / "models" / f.name).write_bytes(f.read_bytes())
     (work / "nested.aia").write_text(NESTED_MODEL, encoding="utf-8")
+    (work / "awkward.aia").write_text(AWKWARD_MODEL, encoding="utf-8")
     for d in ("out", "testers", "gen"):
         (work / d).mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
