@@ -15,7 +15,11 @@ the public boundary only.  Inside, each automaton steps the lattice's
 empty clause.  A clause's image under a label, the meet of its members'
 targets, exists only there: :meth:`AIA.step` joins clause images,
 :func:`induce_ia` searches clauses by them, and the kernel names mask
-antichains, so no search that writes states converts to ``Config``.
+antichains, so no search that writes states converts to ``Config``.  A
+kernel of few states joins three or more clause images on up-sets, the
+2**n-bit truth tables of the configurations as monotone functions, where
+join is ``|``, and decodes each successor's up-set to its mask antichain
+once.
 """
 
 from __future__ import annotations
@@ -43,13 +47,48 @@ from .search import Search
 
 # Clause images with more clauses than this are recomputed, not memoised:
 # they are seldom met again and would hold most of the memo's memory.
-# Measured on mask images on a 2-core Xeon host:
-# det(rand_aia(SplitMix64(4), n_states=30), cap=600), which hits the cap,
-# peaked at 69 MB with this bound and 158 MB with every image kept.  Small
-# specs lose little: det of the 16 rand_aia_stepping(SplitMix64(5), 16,
-# n_states=10) specs (5,662 states) takes 0.38 s with this bound, 0.32 s
-# with every image kept and 0.54 s with a bound of 4 (min of 5 runs).
+# The bound governs the mask images of one- and two-clause joins, of
+# induce_ia's clauses, and of every join in kernels above _UP_MAX_STATES
+# states.  Measured there on a 2-core Xeon host, bounds 4 / 8 / none:
+# det(rand_aia(SplitMix64(4), n_states=30), cap=600), 29 states, which
+# hits the cap, took 8.0 / 8.9 / 9.6 s and peaked at 56 / 69 / 159 MB;
+# det of 8 exactly-14-state rand_aia specs drawn from SplitMix64(5)
+# (cap 4000, 7,337 states, 5 specs capped) took 6.7 / 4.5 / 3.5 s at
+# 85 / 87 / 91 MB.
 _IMAGE_MEMO_MAX_CLAUSES = 8
+
+# Kernels of at most this many states join three or more clause images
+# on up-sets (see _UpSets).  An up-set has 2**n bits and the up-set memos
+# keep one per clause image and per successor, so their memory grows as
+# 2**n times the configurations met, up to DEFAULT_CAP of them: at 12
+# states 512 bytes each, about 50 MB for a capped search.  det of 8
+# rand_aia specs of exactly n states drawn from SplitMix64(5) (cap 4000),
+# absorption -> up-sets, time and peak RSS on a 2-core Xeon host:
+#   n =  8:  3,007 states, 0.19 -> 0.14 s,  20 ->  20 MB
+#   n = 10:  8,127 states, 0.71 -> 0.30 s,  31 ->  32 MB
+#   n = 12: 11,244 states, 1.38 -> 0.57 s,  43 ->  53 MB
+#   n = 13:  8,750 states, 2.78 -> 1.30 s,  60 ->  96 MB (2 specs capped)
+#   n = 14:  7,337 states, 4.64 -> 2.88 s,  87 -> 220 MB (5 capped)
+#   n = 16:  2,920 states, 8.04 -> 12.7 s, 127 -> 986 MB (6 capped)
+# Above 12 states the memory grows faster than the time falls.
+_UP_MAX_STATES = 12
+
+_UP_HAS: dict[int, tuple[tuple[int, int], ...]] = {}  # n -> ((NotHas_i, 2**i), ...)
+
+
+def _up_tables(n: int) -> tuple[tuple[int, int], ...]:
+    """Per bit i of n states, the 2**n-bit table of the subsets without
+    state i (NotHas_i), paired with 2**i, the shift from such a subset
+    to the one with i added; computed once per n."""
+    tables = _UP_HAS.get(n)
+    if tables is None:
+        full = (1 << (1 << n)) - 1
+        # Has_i repeats 2**i zeros, then 2**i ones, from subset 0 upwards
+        tables = _UP_HAS[n] = tuple(
+            (full ^ full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)), 1 << i)
+            for i in range(n)
+        )
+    return tables
 
 
 class _MaskKernel:
@@ -69,6 +108,21 @@ class _MaskKernel:
     order, and its text, from the members' quoted names, each state quoted
     once per kernel.
 
+    A kernel of at most ``_UP_MAX_STATES`` states joins three or more
+    clause images on up-sets (:class:`_UpSets`): ``|`` of per-label
+    memoised clause-image up-sets, then one lookup of the up-set's mask
+    antichain, decoded once, instead of absorbing the union of the
+    images.  The up-set memos are built on the first such join and the
+    targets' up-sets on first use.  Both gates are measured.  Larger
+    kernels keep absorption, since an up-set has 2**n bits (see
+    ``_UP_MAX_STATES``).  One- and two-clause joins keep it too: with
+    every multi-clause join on up-sets, the benchmark's ``conjoin``
+    op_p50_ms, whose median operation steps cold 5-state views'
+    two-clause configurations, read 0.099 ms against 0.064 ms with this
+    gate (medians of 3 alternating pairs, 2-core Xeon host).  Either
+    path's successor goes through the successor memo, so both keep one
+    object per value.
+
     The step memo may hold entries that this kernel never computed:
     :func:`~altia.determinize.det` seeds its automaton's kernel with the
     determinization table.  A count of step computations must therefore
@@ -78,7 +132,7 @@ class _MaskKernel:
 
     __slots__ = (
         "numbering", "transitions", "images", "steps", "successors", "configs", "masks",
-        "initial", "names", "clause_texts", "quoted",
+        "initial", "names", "clause_texts", "quoted", "small", "up",
     )
 
     def __init__(self, s: AIA):
@@ -101,6 +155,10 @@ class _MaskKernel:
         # clause mask -> (its bit indices, its text)
         self.clause_texts: dict[int, tuple[tuple[int, ...], str]] = {}
         self.quoted: Optional[tuple[str, ...]] = None  # the states' quoted names, in bit order
+        # the numbering never grows: whether wide joins go on up-sets is
+        # fixed per kernel, and their memos are built on the first one
+        self.small = len(self.numbering.names) <= _UP_MAX_STATES
+        self.up: Optional[_UpSets] = None
 
     def encode(self, e: Config) -> _Masks:
         """The mask antichain of a configuration over this automaton's states."""
@@ -157,21 +215,104 @@ class _MaskKernel:
 
     def step(self, e: _Masks, label: str) -> _Masks:
         """The successor of ``e`` under ``label``: the join of its clauses'
-        images; a one-clause configuration's image as it is."""
+        images; a one-clause configuration's image as it is, and three or
+        more clauses of a small kernel joined on up-sets."""
         key = (e, label)
         succ = self.steps.get(key)
         if succ is None:
-            images = self.images[label]
-            joined: set[int] = set()
-            for c in e:
-                img = images.get(c)  # image()'s own lookup, without the call
-                if img is None:
-                    img = self.image(c, label)
-                joined |= img
-            # one clause's image is an antichain already
-            succ = img if len(e) == 1 else _mask_antichain(joined)
+            if len(e) > 2 and self.small:
+                up = self.up
+                if up is None:
+                    up = self.up = _UpSets(self)
+                succ = up.join(self, e, label)
+            else:
+                images = self.images[label]
+                joined: set[int] = set()
+                for c in e:
+                    img = images.get(c)  # image()'s own lookup, without the call
+                    if img is None:
+                        img = self.image(c, label)
+                    joined |= img
+                # one clause's image is an antichain already
+                succ = img if len(e) == 1 else _mask_antichain(joined)
             succ = self.steps[key] = self.successors.setdefault(succ, succ)
         return succ
+
+
+class _UpSets:
+    """A small kernel's configurations as up-sets, for joins of three or
+    more clause images; see :class:`_MaskKernel`.
+
+    Over n states a subset is an index below 2**n, and a mask antichain
+    is the 2**n-bit ``int`` of the subsets that contain one of its
+    clauses: its monotone Boolean function as a truth table.  Meet is
+    then ``&`` and join ``|``.  A clause's image is the ``&`` of its
+    members' target up-sets, a successor the ``|`` of its clauses'
+    images, and each up-set met is decoded once to the mask antichain of
+    its minimal subsets.
+    """
+
+    __slots__ = ("full", "tables", "targets", "images", "antichains")
+
+    def __init__(self, k: _MaskKernel):
+        n = len(k.numbering.names)
+        self.full = (1 << (1 << n)) - 1  # top: every subset
+        self.tables = _up_tables(n)
+        self.targets: dict[str, list[Optional[int]]] = {l: [None] * n for l in k.images}
+        self.images: dict[str, dict[int, int]] = {l: {} for l in k.images}
+        self.antichains: dict[int, _Masks] = {}
+
+    def join(self, k: _MaskKernel, e: _Masks, label: str) -> _Masks:
+        """The successor of ``e`` under ``label``, one object per up-set."""
+        images = self.images[label]
+        u = 0
+        for c in e:
+            img = images.get(c)
+            if img is None:
+                img = images[c] = self._image(k, c, label)
+            u |= img
+        succ = self.antichains.get(u)
+        if succ is None:
+            succ = self.antichains[u] = self._antichain(u)
+        return succ
+
+    def _image(self, k: _MaskKernel, c: int, label: str) -> int:
+        targets, names = self.targets[label], k.numbering.names
+        img = self.full
+        for i in k.numbering.indices(c):
+            t = targets[i]
+            if t is None:
+                t = targets[i] = self._up_set(k.encode(k.transitions[names[i]][label]))
+            img &= t
+            if not img:  # bottom absorbs the remaining members
+                break
+        return img
+
+    def _up_set(self, m: _Masks) -> int:
+        """The up-set of the mask antichain ``m``: per clause, the subsets
+        in no NotHas_i of its members."""
+        tables, full, u = self.tables, self.full, 0
+        for c in m:
+            out = 0
+            for i, (not_has, _) in enumerate(tables):
+                if c >> i & 1:
+                    out |= not_has
+            u |= full ^ out
+        return u
+
+    def _antichain(self, u: int) -> _Masks:
+        """The minimal subsets of the up-set ``u`` as clause masks: those
+        with no one-smaller subset in ``u``."""
+        covered = 0
+        for not_has, shift in self.tables:
+            covered |= (u & not_has) << shift
+        low = u & ~covered
+        masks = []
+        while low:
+            bit = low & -low
+            masks.append(bit.bit_length() - 1)
+            low ^= bit
+        return frozenset(masks)
 
 
 class AIA:
@@ -188,7 +329,11 @@ class AIA:
     never grows, so a configuration with an undeclared state is refused
     with :class:`~altia.errors.ModelError`, and five memos: the step
     memo by ``(mask antichain, label)``, so every search over the
-    automaton computes each step once; the successor memo, seeded with
+    automaton computes each step once, joining three or more clauses of
+    a kernel of at most ``_UP_MAX_STATES`` states on up-sets, with their
+    own memos (per label, the up-sets of each state's target and of each
+    clause image, and the mask antichain of each up-set met; see
+    :class:`_MaskKernel`); the successor memo, seeded with
     top, bottom and the initial configuration, which gives every new
     successor the first object of its value, so the determinization
     table's rows hold its own keys, and the searches' seen-sets and the
@@ -217,7 +362,8 @@ class AIA:
     over it find every step of a state computed already.  All memos are
     freed with the automaton.  They cache pure functions of the immutable
     transitions and the state names: a race between threads can at worst
-    build two kernels, compute a successor, an image, a clause's names or
+    build two kernels or two sets of up-set memos, compute a successor,
+    an image, an up-set, an up-set's mask antichain, a clause's names or
     text, the quoted state names or a configuration's name twice, or keep
     two equal objects, and equal objects still compare equal.  A seeded
     kernel is filled before ``det`` returns its automaton, so no other

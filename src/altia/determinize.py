@@ -12,17 +12,37 @@ from __future__ import annotations
 
 from .aia import AIA
 from .lattice import _TOP_MASKS, bot, embed, top
-from .search import DEFAULT_CAP, reachable
+from .search import DEFAULT_CAP, Search, reachable
 
 
 def check_deterministic(s: AIA, cap: int = DEFAULT_CAP) -> bool:
-    """Whether every reachable configuration is top, bottom or one state."""
+    """Whether every reachable configuration is top, bottom or one state.
+
+    The search stops at the first compound configuration it steps to, so
+    a ``cap`` counts the configurations stepped until then: a spec that
+    is not deterministic may give ``False`` under a cap its whole
+    determinization table exceeds.
+    """
 
     def simple(m) -> bool:  # no clause, or one of at most one state bit
         return len(m) <= 1 and all(c & (c - 1) == 0 for c in m)
 
-    # a compound initial configuration fails before any search
-    return simple(s._masks().initial) and all(map(simple, reachable(s, cap)))
+    k = s._masks()
+    if not simple(k.initial):  # a compound initial configuration fails before any search
+        return False
+    if not k.initial or 0 in k.initial:  # bottom or top: nothing to search
+        return True
+    labels = sorted(s.inputs) + sorted(s.outputs)
+    step = k.step
+    search = Search([k.initial], cap)
+    for _, e in search:
+        for label in labels:
+            t = step(e, label)
+            if not simple(t):
+                return False
+            if t and 0 not in t:  # neither bottom nor top
+                search.push(t)
+    return True
 
 
 def _relabelled(s: AIA, table, wrap, top_target, bot_target):

@@ -24,7 +24,8 @@ antichain is canonical already; a clause mask decodes to names by its
 set bits.  :func:`substitute` is one pass over one numbering of its
 targets' states, with one absorption at the end.  Each automaton keeps
 one numbering of its own states and steps mask antichains with the
-same two functions (see :mod:`altia.aia`).
+same two functions, or, with few states, joins on up-sets (see
+:mod:`altia.aia`).
 
 There is no global table of instances: an automaton's boundary memo
 gives its own equal successors one object.  All values are immutable

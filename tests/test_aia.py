@@ -19,7 +19,7 @@ from altia import (
     trace_verdict,
 )
 from altia.aia import ftrace_member, rename_states
-from altia.lattice import bot, embed, join, meet, meet_all, substitute, top
+from altia.lattice import Config, bot, embed, join, meet, meet_all, substitute, top
 from altia.io import parse_trace
 from altia.rng import SplitMix64
 from altia.search import reachable
@@ -34,6 +34,7 @@ from oracles import (
     rand_expr,
     rand_ia,
     rand_trace,
+    rand_wide_config,
     universe,
 )
 
@@ -362,14 +363,17 @@ def test_step_is_substitution_semantically():
     wide = {f"p{k}": {"x": embed(f"a{k}") | embed(f"b{k}")} for k in range(5)}
     states = [*wide, *(f"{c}{k}" for c in "ab" for k in range(5))]
     specs.append(AIA(states, (), ("x",), wide, meet_all(embed(q) for q in wide)))
-    stepping = 0
+    stepping = wide = 0
     for s in specs:
         states = sorted(s.states)
         table = reachable(s)
         stepping += bool(table)
         reached = [*map(s._masks().decode, table), top(), bot()]
         unreached = [rand_expr(rng, states) for _ in range(100)] if states else []
+        # wide draws: joins of three or more clause images go on up-sets
+        unreached += [rand_wide_config(rng, states) for _ in range(40)] if states else []
         unreached = [e for e in unreached if e not in reached]
+        wide += sum(len(e.clauses) >= 3 for e in unreached)
         for e in reached + unreached:  # the unreached ones meet a filled clause memo
             for l in sorted(s.labels):
                 succ = s.step(e, l)
@@ -378,7 +382,7 @@ def test_step_is_substitution_semantically():
                     v = {q: rng.below(2) == 1 for q in states}
                     w = {q: holds(s.transitions[q][l], v) for q in states}
                     assert holds(succ, v) == holds(e, w)
-    assert stepping == len(specs) == 31
+    assert stepping == len(specs) == 31 and wide >= 250  # 299 on this seed
 
 
 def test_step_returns_one_object_per_successor():
@@ -407,23 +411,39 @@ def test_reachable_rows_hold_the_table_keys():
     # successor in reachable's rows is the table's own key object and the
     # searches and relabellings find it by identity; the step memo holds
     # one object per value, top and bottom among them.  det's automaton,
-    # whose step memo is seeded, keeps both.
+    # whose step memo is seeded, keeps both.  The specs' kernels are small
+    # enough to join three or more clause images on up-sets, and those
+    # joins' successors are key objects too.
     from altia import det
+    from altia.aia import _UP_MAX_STATES
 
-    entries = 0
-    for s in rand_aia_stepping(SplitMix64(72), 30, n_states=6):
+    entries = wide = 0
+    specs = rand_aia_stepping(SplitMix64(72), 30, n_states=6)
+    specs += rand_aia_stepping(SplitMix64(73), 10, n_states=_UP_MAX_STATES - 3)
+    for s in specs:
+        assert s._masks().small
         for a in (s, det(s)):
             table = reachable(a)
             keys = {m: m for m in table}
-            for row in table.values():
+            for m, row in table.items():
                 for t in row.values():
                     if t and 0 not in t:
                         assert t is keys[t]
                         entries += 1
+                        wide += len(m) >= 3
             one: dict = {}
             for t in a._masks().steps.values():
                 assert one.setdefault(t, t) is t
-    assert entries >= 2000  # 4,958 on this seed
+    assert entries >= 6000 and wide >= 2000  # 8,258 and 2,522 on these seeds
+    # a public step of a compound configuration built apart gives the same
+    # Config object every time, also for an equal one built apart again
+    s = specs[0]
+    apart = [Config(e.clauses) for e in map(s._masks().decode, reachable(s))]
+    compound = [e for e in apart if len(e.clauses) >= 3]
+    assert compound
+    for e in compound:
+        for l in sorted(s.labels):
+            assert s.step(e, l) is s.step(e, l) is s.step(Config(e.clauses), l)
 
 
 def test_step_is_substitution_on_larger_specs():
@@ -447,6 +467,54 @@ def test_step_is_substitution_on_larger_specs():
                 assert succ == substitute(e, {q: s.transitions[q][l] for q in s.states})
                 assert Config(succ.clauses) == succ
     assert stepping == 16
+
+
+def test_up_set_joins_agree_with_absorption():
+    # Kernels of at most _UP_MAX_STATES states join three or more clause
+    # images on up-sets; larger kernels and narrower joins absorb the
+    # union of the images, as every kernel did before.  On specs of each
+    # size from one state to one past the bound, every step of the first
+    # reachable configurations and of wide draws equals that absorption.
+    from altia.aia import _UP_MAX_STATES
+    from altia.lattice import _TOP_MASKS, _mask_antichain
+    from altia.search import Search
+
+    rng = SplitMix64(151)
+    up = {"steps": 0, "top targets": 0, "bottom targets": 0, "bottom images": 0, "top": 0}
+    for n in range(1, _UP_MAX_STATES + 2):
+        drawn = 0
+        while drawn < 3:
+            s = rand_aia(rng, n_states=n)
+            if len(s.states) != n:
+                continue
+            drawn += 1
+            k = s._masks()
+            assert k.small == (n <= _UP_MAX_STATES)
+            labels = sorted(s.labels)
+            search, configs = Search([k.initial]), []
+            for i, m in search:
+                if i == 150:
+                    break
+                configs.append(m)
+                for l in labels:
+                    t = k.step(m, l)
+                    if t and 0 not in t:
+                        search.push(t)
+            states = sorted(s.states)
+            configs += [k.encode(rand_wide_config(rng, states)) for _ in range(40)]
+            for m in configs:
+                for l in labels:
+                    images = [k.image(c, l) for c in m]
+                    expected = _mask_antichain(set().union(*images))
+                    assert k.step(m, l) == expected
+                    if len(m) >= 3 and k.small:
+                        targets = [s.transitions[q][l] for c in m for q in k.numbering.clause(c)]
+                        up["steps"] += 1
+                        up["top targets"] += any(t.is_top for t in targets)
+                        up["bottom targets"] += any(t.is_bot for t in targets)
+                        up["bottom images"] += frozenset() in images
+                        up["top"] += expected == _TOP_MASKS
+    assert min(up.values()) >= 20, up  # 7,836 up-set steps, 1,081 to top
 
 
 def _brute_antichain(masks):

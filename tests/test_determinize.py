@@ -196,10 +196,20 @@ def test_state_names_resembling_expressions_stay_distinct():
     assert aia_member_set(d, words) == aia_member_set(tricky, words)
 
 
+def _check_visits(s):
+    # check_deterministic steps the configurations of reachable's table in
+    # its order up to the first whose row holds a compound configuration
+    table = reachable(s)
+    for i, row in enumerate(table.values()):
+        if any(len(t) > 1 or any(c & (c - 1) for c in t) for t in row.values()):
+            return i + 1
+    return len(table)
+
+
 # Each capped search with the number of nodes it visits on a spec.
 CAPPED = {
     "det": (det, lambda s: len(reachable(s))),
-    "check_deterministic": (check_deterministic, lambda s: len(reachable(s))),
+    "check_deterministic": (check_deterministic, _check_visits),
     "build_tester": (build_tester, lambda s: len(reachable(s))),
     "leq_aia": (lambda s, cap: leq_aia(s, s, cap), lambda s: leq_aia(s, s).pairs_explored),
 }
@@ -208,13 +218,20 @@ CAPPED = {
 @pytest.mark.parametrize("search", sorted(CAPPED))
 def test_exploration_cap(search, machine):
     # One rule for every capped search: visiting more than cap nodes raises.
+    # check_deterministic stops at machine's first compound configuration
+    # and visits all of the table of det(machine), which is deterministic.
     run, visited = CAPPED[search]
-    for s in (rand_aia(SplitMix64(43), n_states=5), machine):
+    counts = []
+    for s in (rand_aia(SplitMix64(43), n_states=5), machine, det(machine)):
         n = visited(s)
+        counts.append((n, len(reachable(s))))
         for cap in {0, n - 1}:
             with pytest.raises(ExplorationLimitError):
                 run(s, cap)
         run(s, n)
+    if search == "check_deterministic":
+        _, (m, all_m), (d, all_d) = counts
+        assert m < all_m and d == all_d
     assert DEFAULT_CAP >= 100_000
 
 
