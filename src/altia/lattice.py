@@ -14,17 +14,21 @@ antichain (no clause contains another).  That form is unique per lattice
 element, so ``==`` on clause sets decides lattice equality.  Clauses are
 ordered (:func:`sorted_clauses`) only where text is written, by one writer.
 
-This name-based form is the public boundary.  Every operation computes
-on *mask antichains*: a numbering of the operands' state names turns a
-clause into the ``int`` with one bit per member, so ``k & m == k`` tests
-containment, and a configuration into the frozenset of its clause masks.
-Absorption (``_mask_antichain``) and meet (``_mask_meet``) are defined
-once, on masks, and results are decoded unchecked, since a mask
-antichain is canonical already; a clause mask decodes to names by its
-set bits.  :func:`substitute` is one pass over one numbering of its
-targets' states, with one absorption at the end.  Each automaton keeps
-one numbering of its own states and steps mask antichains with the
-same two functions, or, with few states, joins on up-sets (see
+This name-based form is the public boundary.  Absorption is computed
+on *mask antichains*: a numbering of state names turns a clause into
+the ``int`` with one bit per member, so ``k & m == k`` tests
+containment, and a configuration into the frozenset of its clause
+masks.  Absorption (``_mask_antichain``) and meet (``_mask_meet``) are
+defined once, on masks.  The public operations build their result
+clauses as name frozensets directly, carrying each clause mask beside
+its names where absorption needs it, and absorb only where the
+operands' state sets show that absorption can happen: a join among the
+clauses that touch a state of two or more operands, a meet at a factor
+that shares a state with the factors before it, and a substitution
+unless its targets are one non-empty clause each and pairwise disjoint.
+The parser and each automaton's kernel fold the mask functions over
+one numbering of their own and decode the result, a clause mask to
+names by its set bits; a kernel of few states joins on up-sets (see
 :mod:`altia.aia`).
 
 There is no global table of instances: an automaton's boundary memo
@@ -38,9 +42,10 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import compress
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 Clause = frozenset[str]
+_EMPTY: Clause = frozenset()
 
 
 class Kind(Enum):
@@ -56,7 +61,7 @@ _Masks = frozenset[int]  # a mask antichain: clause masks, none containing anoth
 _TOP_MASKS: _Masks = frozenset((0,))
 
 
-def _mask_antichain(masks: set[int]) -> _Masks:
+def _mask_antichain(masks: Collection[int]) -> _Masks:
     """The masks of ``masks`` that contain no other one (absorption).
 
     Two distinct masks with equal bit counts cannot contain each other, so
@@ -92,6 +97,40 @@ def _mask_meet(a: _Masks, b: _Masks) -> _Masks:
     return _mask_antichain({x | y for x in a for y in b})
 
 
+# Named clauses: each clause's mask, under one numbering, mapped to the
+# clause's member names, so that a result is built without decoding.  A
+# named antichain is one whose masks form a mask antichain.
+_Named = dict[int, Clause]
+_TOP_NAMED: _Named = {0: _EMPTY}
+
+
+def _bits(names: Iterable[str]) -> dict[str, int]:
+    """A numbering of ``names``: each name's bit."""
+    return {q: 1 << i for i, q in enumerate(names)}
+
+
+def _named(clauses: Iterable[Clause], bit: Mapping[str, int]) -> _Named:
+    """``clauses`` by their masks under ``bit``, keeping the clause objects."""
+    bit = bit.__getitem__
+    return {sum(map(bit, c)): c for c in clauses}
+
+
+def _product(a: _Named, b: _Named) -> _Named:
+    """The pairwise unions of two named antichains, with top ``{0}`` as unit;
+    not absorbed."""
+    if 0 in b:
+        return a
+    if 0 in a:
+        return b
+    return {x | y: cx | cy for x, cx in a.items() for y, cy in b.items()}
+
+
+def _absorbed(named: _Named) -> _Named:
+    """The clauses of ``named`` that contain no other one."""
+    kept = _mask_antichain(named.keys())
+    return named if len(kept) == len(named) else {m: named[m] for m in kept}
+
+
 # bin(m)[:1:-1] is a clause mask's bits, lowest first; this table turns
 # each digit into the byte 0 or 1 that itertools.compress selects with
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -111,7 +150,7 @@ class _Numbering:
 
     def __init__(self, names: Iterable[str]):
         self.names = tuple(names)  # in bit order
-        self.bit = {q: 1 << i for i, q in enumerate(self.names)}
+        self.bit = _bits(self.names)
         self.clauses: dict[int, Clause] = {}  # clause mask -> member names
 
     def encode(self, clauses: Iterable[Clause]) -> frozenset[int]:
@@ -154,8 +193,8 @@ class Config:
 
     def __new__(cls, clauses: Iterable[Iterable[str]]):
         clauses = [frozenset(c) for c in clauses]
-        numbering = _Numbering(frozenset().union(*clauses))
-        return numbering.decode(_mask_antichain(numbering.encode(clauses)))
+        named = _named(clauses, _bits(frozenset().union(*clauses)))
+        return _from_antichain(frozenset(_absorbed(named).values()))
 
     @property
     def is_top(self) -> bool:
@@ -205,7 +244,7 @@ def _from_antichain(clauses: frozenset[Clause]) -> Config:
     return self
 
 
-_TOP_CLAUSES = frozenset((frozenset(),))
+_TOP_CLAUSES = frozenset((_EMPTY,))
 _BOT = Config(())
 _TOP = Config(_TOP_CLAUSES)
 
@@ -227,7 +266,7 @@ def embed(q: str) -> Config:
 
 def join(a: Config, b: Config) -> Config:
     """Disjunction of two configurations."""
-    return Config(a.clauses | b.clauses)
+    return join_all((a, b))
 
 
 def meet(a: Config, b: Config) -> Config:
@@ -236,23 +275,58 @@ def meet(a: Config, b: Config) -> Config:
 
 
 def join_all(items: Iterable[Config]) -> Config:
-    """Disjunction of finitely many configurations; empty gives bottom."""
+    """Disjunction of finitely many configurations; empty gives bottom.
+
+    The result holds the union of the operands' clause objects.  Each
+    operand is an antichain, so a non-empty clause can absorb, or be
+    absorbed by, a clause of another operand only if it touches a state
+    that occurs in two or more operands; absorption runs over those
+    clauses alone, and not at all when the operands share no state.  An
+    empty clause (top) absorbs every other.
+    """
     operands = list(items)
     if len(operands) == 1:  # a lone operand is canonical already
         return operands[0]
-    return Config(c for e in operands for c in e.clauses)
+    clauses = frozenset().union(*(e.clauses for e in operands))
+    if _EMPTY in clauses:
+        return _TOP
+    seen: set[str] = set()
+    shared: set[str] = set()
+    for e in operands:
+        s = e.states()
+        shared |= seen.intersection(s)
+        seen |= s
+    touching = [c for c in clauses if not shared.isdisjoint(c)]
+    if len(touching) > 1:
+        named = _named(touching, _bits(frozenset().union(*touching)))
+        kept = _mask_antichain(named.keys())
+        if len(kept) < len(named):
+            clauses = clauses.difference([named[m] for m in named.keys() - kept])
+    return _from_antichain(clauses)
 
 
 def meet_all(items: Iterable[Config]) -> Config:
-    """Conjunction of finitely many configurations; empty gives top."""
+    """Conjunction of finitely many configurations; empty gives top.
+
+    The operands are folded into a named antichain over one numbering of
+    their states: each product mask is carried with its clause, the union
+    of its factors' clauses, so the result is never decoded.  A product
+    step is absorbed only when the operand shares a state with those
+    folded in before it: a product of antichains over disjoint states is
+    an antichain.
+    """
     operands = list(items)
     if len(operands) == 1:  # top and e is e: a lone operand is returned as it is
         return operands[0]
-    numbering = _Numbering(frozenset().union(*(c for e in operands for c in e.clauses)))
-    out = _TOP_MASKS
-    for e in operands:  # each operand's clauses are an antichain, so are their masks
-        out = _mask_meet(out, numbering.encode(e.clauses))
-    return numbering.decode(out)
+    states = [e.states() for e in operands]
+    bit = _bits(frozenset().union(*states))
+    out, seen = _TOP_NAMED, frozenset()
+    for e, s in zip(operands, states):
+        out = _product(out, _named(e.clauses, bit))
+        if not seen.isdisjoint(s):
+            out = _absorbed(out)
+        seen |= s
+    return _from_antichain(frozenset(out.values()))
 
 
 def substitute(e: Config, f: Mapping[str, Config]) -> Config:
@@ -262,41 +336,51 @@ def substitute(e: Config, f: Mapping[str, Config]) -> Config:
     surfaces as the mapping's KeyError, which is a caller defect.  Keys
     of ``f`` that do not occur in ``e`` are ignored.
 
-    One pass over one numbering: ``f[q]`` is looked up and encoded once
-    per state of ``e``, over one numbering of the targets' states.  A
-    clause's image is the meet of its members' targets: the one-clause
-    targets (top among them) are ORed into one mask, ``_mask_meet`` is
-    folded over the others only, and a bottom target ends the clause.
-    Every clause's image, each mask ORed with that clause's one-clause
-    mask, goes into one set, which one absorption makes canonical, since
+    ``f[q]`` is looked up once per state of ``e``.  When every target is
+    one non-empty clause and those clauses are pairwise disjoint, the
+    substitution is an order embedding: each clause's image is the union
+    of its members' target clauses, the images form an antichain, and no
+    mask is built.  Otherwise the targets are named antichains over one
+    numbering of their states.  A clause's image is the meet of its
+    members' targets: the one-clause targets (top among them) are united
+    into one mask and clause, the others are multiplied and absorbed, and
+    a bottom target ends the clause.  Every clause's image goes into one
+    named antichain, which one absorption makes canonical, since
     absorbing the union gives the same element as absorbing each image
-    first.  The result is decoded once.
+    first.
     """
     targets = {q: f[q] for q in e.states()}
-    numbering = _Numbering(frozenset().union(*(c for t in targets.values() for c in t.clauses)))
-    one: dict[str, int] = {}  # state -> the mask of its one-clause target
-    wide: dict[str, _Masks] = {}  # state -> its other target, bottom included
+    if all(len(t.clauses) == 1 for t in targets.values()):
+        image = {q: next(iter(t.clauses)) for q, t in targets.items()}
+        members = image.values()
+        if all(members) and len(frozenset().union(*members)) == sum(map(len, members)):
+            return _from_antichain(frozenset(frozenset().union(*map(image.__getitem__, c))
+                                             for c in e.clauses))
+    bit = _bits(frozenset().union(*(t.states() for t in targets.values())))
+    one: dict[str, tuple[int, Clause]] = {}  # state -> its one-clause target
+    wide: dict[str, _Named] = {}  # state -> its other target, bottom included
     for q, t in targets.items():
-        masks = numbering.encode(t.clauses)
-        if len(masks) == 1:
-            (one[q],) = masks
+        named = _named(t.clauses, bit)
+        if len(named) == 1:
+            (one[q],) = named.items()
         else:
-            wide[q] = masks
-    out: set[int] = set()
+            wide[q] = named
+    out: _Named = {}
     for clause in e.clauses:
-        acc, img = 0, _TOP_MASKS
+        acc, acc_clause, img = 0, _EMPTY, _TOP_NAMED
         for q in clause:
-            m = one.get(q)
-            if m is not None:
-                acc |= m
+            p = one.get(q)
+            if p is not None:
+                acc |= p[0]
+                acc_clause |= p[1]
                 continue
             t = wide[q]
             if not t:  # bottom absorbs the remaining members
                 break
-            img = _mask_meet(img, t)
+            img = _absorbed(_product(img, t))
         else:
-            out.update([x | acc for x in img])
-    return numbering.decode(_mask_antichain(out))
+            out.update({x | acc: c | acc_clause for x, c in img.items()})
+    return _from_antichain(frozenset(_absorbed(out).values()))
 
 
 def classify(e: Config) -> Kind:

@@ -117,6 +117,18 @@ def _antichain(raw):
     return frozenset(c for c in raw if not any(d < c for d in raw))
 
 
+def _rand_over(rng, pool):
+    # a random configuration whose states are all of pool; top or bottom
+    # one draw in ten each
+    roll = rng.below(10)
+    if roll < 2:
+        return (top(), bot())[roll]
+    while True:
+        e = rand_wide_config(rng, pool, max_clauses=4)
+        if e.states() == frozenset(pool):
+            return e
+
+
 def test_minimize_matches_brute_force_antichain():
     rng = SplitMix64(11)
     gens = ["q1", "q2", "q3", "q4", "q5", "q6"]
@@ -139,6 +151,43 @@ def test_minimize_matches_brute_force_antichain():
         expected = _antichain(frozenset().union(*choice) for choice in product(*factors))
         assert e.clauses == expected
     assert len(meet_all(Config([{f"a{i}"}, {f"b{i}"}]) for i in range(10)).clauses) == 1024
+    # joins and meets of 3-5 operands, each over all names of its pool or
+    # top or bottom: pools of their own (disjoint state sets), overlapping
+    # pools (partly shared) and one pool (identical), where clauses repeat
+    # across operands
+    pools = (
+        [[f"d{i}{j}" for j in range(3)] for i in range(5)],
+        [gens[i:i + 3] for i in range(5)],
+        [gens[:3]] * 5,
+    )
+    seen = dict.fromkeys(
+        ("disjoint", "shared", "identical", "top", "bot", "repeated", "absorbed"), 0)
+    for n in range(300):
+        pool = pools[n % 3]
+        ops = [_rand_over(rng, pool[i]) for i in range(3 + rng.below(3))]
+        raw = [e.clauses for e in ops]
+        joined = join_all(ops).clauses
+        assert joined == _antichain(frozenset().union(*raw))
+        assert meet_all(ops).clauses == _antichain(frozenset().union(*cs) for cs in product(*raw))
+        states = [e.states() for e in ops if e.states()]
+        union = frozenset().union(*states)
+        if len(states) >= 2:
+            if all(s == states[0] for s in states):
+                seen["identical"] += 1
+            elif sum(map(len, states)) == len(union):
+                seen["disjoint"] += 1
+            else:
+                seen["shared"] += 1
+        with_top = any(e.is_top for e in ops)
+        seen["top"] += with_top
+        seen["bot"] += any(e.is_bot for e in ops)
+        seen["repeated"] += sum(map(len, raw)) > len(frozenset().union(*raw))
+        # clauses of one operand absorbed by another's, top aside
+        seen["absorbed"] += not with_top and len(joined) < len(frozenset().union(*raw))
+    # of the 300 draws; 96, 90, 95, 102, 109, 142 and 116 on this seed
+    assert seen["disjoint"] >= 75 and seen["shared"] >= 75 and seen["identical"] >= 75
+    assert seen["top"] >= 80 and seen["bot"] >= 80 and seen["repeated"] >= 110
+    assert seen["absorbed"] >= 90
 
 
 def _substitute(e, f):
@@ -211,6 +260,35 @@ def test_substitute_mixes_target_shapes():
     # of the 400 draws; 122, 198, 115, 171 and 178 on this seed
     assert ored >= 100 and one_and_wide >= 150 and three_shapes >= 90
     assert with_bottom >= 140 and absorbed >= 140
+    # every target one clause: substitute builds no mask exactly when the
+    # clauses are non-empty and pairwise disjoint (an order embedding), so
+    # injective renamings onto one or two names reach that side, and two
+    # states sent onto one, overlapping targets and a top target the other
+    fresh = [f"r{i}" for i in range(12)]
+    disjoint = overlapping = merged = with_top = 0
+    for n in range(400):
+        e = meet(rand_wide_config(rng, gens), rand_wide_config(rng, gens))
+        k = rng.below(len(fresh))
+        order = fresh[k:] + fresh[:k]
+        f = {q: Config([order[2 * i:2 * i + 1 + rng.below(2)]]) for i, q in enumerate(gens)}
+        kind = n % 4
+        if kind == 1:  # two states sent onto one
+            f[gens[rng.below(3)]] = f[gens[3 + rng.below(3)]]
+        elif kind == 2:  # one-clause targets over a pool of three names
+            f = {q: Config([{fresh[rng.below(3)], fresh[rng.below(3)]}]) for q in gens}
+        elif kind == 3:
+            f[gens[rng.below(len(gens))]] = top()
+        got = substitute(e, f)
+        assert got.clauses == _substitute(e, f)
+        clauses = [next(iter(f[q].clauses)) for q in e.states()]
+        if all(clauses) and sum(map(len, clauses)) == len(frozenset().union(*clauses)):
+            disjoint += 1
+        else:
+            overlapping += 1
+        merged += len(got.clauses) < len(e.clauses)
+        with_top += not all(clauses)
+    # of the 400 draws; 207, 193, 139 and 67 on this seed
+    assert disjoint >= 170 and overlapping >= 160 and merged >= 110 and with_top >= 50
 
 
 def test_substitute_wide_operands():

@@ -4,10 +4,11 @@ Usage: python tools/cli_diff.py [-h] BASE_REV
 
 Extracts ``BASE_REV`` with ``git archive`` into a temporary directory
 and runs one fixed command set over the models in ``models/`` in both
-trees, one ``python -m altia`` process per command.  Both trees read the
-same copy of this tree's ``models/``, so only the program differs.  The
-set has 542 commands for the nine models, ``NESTED_MODEL`` and
-``AWKWARD_MODEL``:
+trees, one ``python -m altia`` process per command, then every script of
+``demos/``, one ``python demos/<script>`` process each.  Both trees read
+the same copy of this tree's ``models/`` and ``demos/``, so only the
+program differs.  The set has 546 commands: 542 for the nine models,
+``NESTED_MODEL`` and ``AWKWARD_MODEL``, and one per demo script (four):
 
 - per model: ``check``, ``det`` to stdout and to a file, ``tester`` to a
   file, ``to-ia``, ``to-aia``, ``dot`` and ``testgen`` twice, with the
@@ -23,7 +24,9 @@ set has 542 commands for the nine models, ``NESTED_MODEL`` and
   ``check``, ``det``, ``dot``, ``to-ia`` and ``member`` per trace of
   ``NESTED_TRACES``;
 - on ``AWKWARD_MODEL``, also written by the tool: ``det``, ``tester``,
-  ``to-ia`` and ``dot``.
+  ``to-ia`` and ``dot``;
+- each ``demos/*.py``, which drives the library directly (the lattice
+  operations among it) and may write files into the work directory.
 
 Any difference in stdout, stderr, exit code or written files is
 reported, and the exit code is then 1; it is 0 when the trees agree.
@@ -85,10 +88,10 @@ q2 ?j -> a & q10 | q2
 """
 
 
-def commands(models: list[str]) -> list[list[str]]:
-    """The command set, each command as altia's arguments, with paths
-    relative to a work directory holding ``models/``, ``nested.aia`` and
-    ``awkward.aia``."""
+def commands(models: list[str], demos: list[str]) -> list[list[str]]:
+    """The command set, each command as altia's arguments or, for a demo,
+    as the script's path, with paths relative to a work directory holding
+    ``models/``, ``demos/``, ``nested.aia`` and ``awkward.aia``."""
     stems = [Path(m).stem for m in models]
     cmds = []
     for m, stem in zip(models, stems):
@@ -120,15 +123,23 @@ def commands(models: list[str]) -> list[list[str]]:
     cmds += [[command, "nested.aia"] for command in ("check", "det", "dot", "to-ia")]
     cmds += [["member", "nested.aia", "--trace", trace] for trace in NESTED_TRACES]
     cmds += [[command, "awkward.aia"] for command in ("det", "tester", "to-ia", "dot")]
+    cmds += [[demo] for demo in demos]
     return cmds
+
+
+def interpreter_args(cmd: list[str]) -> list[str]:
+    """What ``python`` runs for a command: a demo's script, or altia."""
+    return cmd if cmd[0].startswith("demos/") else ["-m", "altia", *cmd]
 
 
 def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, str, str]]:
     """Run every command with ``tree``'s altia in ``work``; the tree's own
     path is masked in the output so that tracebacks compare alike."""
-    (work / "models").mkdir(parents=True)
-    for f in sorted((REPO / "models").iterdir()):
-        (work / "models" / f.name).write_bytes(f.read_bytes())
+    for d in ("models", "demos"):
+        (work / d).mkdir(parents=True)
+        for f in sorted((REPO / d).iterdir()):
+            if f.is_file():
+                (work / d / f.name).write_bytes(f.read_bytes())
     (work / "nested.aia").write_text(NESTED_MODEL, encoding="utf-8")
     (work / "awkward.aia").write_text(AWKWARD_MODEL, encoding="utf-8")
     for d in ("out", "testers", "gen"):
@@ -137,7 +148,7 @@ def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, st
     results = []
     for cmd in cmds:
         p = subprocess.run(
-            [sys.executable, "-m", "altia", *cmd],
+            [sys.executable, *interpreter_args(cmd)],
             cwd=work, env=env, capture_output=True, text=True,
         )
         stdout, stderr = (text.replace(str(tree), "<tree>") for text in (p.stdout, p.stderr))
@@ -173,7 +184,8 @@ def main(argv: list[str]) -> int:
         print(f"error: cannot archive {base_rev}: {reason}", file=sys.stderr)
         return 2
     models = [f"models/{f.name}" for f in sorted((REPO / "models").iterdir())]
-    cmds = commands(models)
+    demos = [f"demos/{f.name}" for f in sorted((REPO / "demos").glob("*.py"))]
+    cmds = commands(models, demos)
     with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
         base = Path(tmp) / "base"
         base.mkdir()
@@ -188,7 +200,7 @@ def main(argv: list[str]) -> int:
             if old[k] != new[k]:
                 differences += 1
                 detail = f"{old[k]} != {new[k]}" if k == 0 else first_difference(old[k], new[k])
-                print(f"altia {' '.join(cmd)}: {what} differs, {detail}")
+                print(f"python {' '.join(interpreter_args(cmd))}: {what} differs, {detail}")
     for name in sorted(written["base"].keys() | written["this"].keys()):
         old, new = written["base"].get(name), written["this"].get(name)
         if old != new:
