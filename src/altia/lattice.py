@@ -29,7 +29,7 @@ unless its targets are one non-empty clause each and pairwise disjoint.
 The parser and each automaton's kernel fold the mask functions over
 one numbering of their own and decode the result, a clause mask to
 names by its set bits; a kernel of few states joins on up-sets (see
-:mod:`altia.aia`).
+:mod:`altia._kernel`).
 
 There is no global table of instances: an automaton's boundary memo
 gives its own equal successors one object.  All values are immutable
@@ -144,14 +144,16 @@ class _Numbering:
     """A fixed set of state names as bits, which never grows: encoding any
     other name raises ``KeyError``.  Decoding reuses the clause frozensets
     that were encoded and decodes any other clause mask once, selecting
-    the names of its set bits at C level."""
+    the names of its set bits at C level; a clause mask's bit indices are
+    also found once."""
 
-    __slots__ = ("names", "bit", "clauses")
+    __slots__ = ("names", "bit", "clauses", "bits")
 
     def __init__(self, names: Iterable[str]):
         self.names = tuple(names)  # in bit order
         self.bit = _bits(self.names)
         self.clauses: dict[int, Clause] = {}  # clause mask -> member names
+        self.bits: dict[int, tuple[int, ...]] = {}  # clause mask -> bit indices
 
     def encode(self, clauses: Iterable[Clause]) -> frozenset[int]:
         """The masks of ``clauses``, an antichain if ``clauses`` is one."""
@@ -173,7 +175,15 @@ class _Numbering:
     def indices(self, m: int) -> tuple[int, ...]:
         """The bits of a clause mask, lowest first: the positions of its
         members in ``names``."""
-        return tuple(compress(range(len(self.names)), _selector(m)))
+        bits = self.bits.get(m)
+        if bits is None:
+            out, c = [], m
+            while c:
+                low = c & -c
+                out.append(low.bit_length() - 1)
+                c ^= low
+            bits = self.bits[m] = tuple(out)
+        return bits
 
     def decode(self, masks: Iterable[int]) -> Config:
         """The configuration of a mask antichain, without re-canonicalizing."""

@@ -51,20 +51,20 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     if s2.initial.is_bot:
         return RefinementResult(False, FTrace())
 
-    # The pairs are the two sides' mask antichains (see altia.aia): bottom
-    # is the empty set, top the set holding the empty clause 0.
+    # Pairs of kernel objects; every kernel shares one top and one bottom.
     k1, k2 = s1._masks(), s2._masks()
+    top, bottom = k1.top, k1.bottom
     search = Search([(k1.initial, k2.initial)], cap)
     for i, (e1, e2) in search:
         for lab in labels:
             t1 = k1.step(e1, lab.name)
-            if not t1:
+            if t1 is bottom:
                 continue
             t2 = k2.step(e2, lab.name)
-            if not t2:
+            if t2 is bottom:
                 return RefinementResult(False, FTrace(search.path(i) + (lab,)), i + 1)
-            if 0 in t1:
-                if 0 in t2:
+            if t1 is top:
+                if t2 is top:
                     continue
                 # A refusal the left side allows must be allowed on the
                 # right: both sides must be underspecified on this input.

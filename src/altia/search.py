@@ -12,15 +12,14 @@ first pushed, so the first node found with some property is one of the
 fewest steps from a start, and :meth:`Search.path` rebuilds such a
 shortest label sequence.
 
-Configurations are searched as mask antichains, the integer form each
-automaton steps internally (see :mod:`altia.aia`): :func:`reachable`
-starts from the kernel's encoding of the initial configuration and
-explores, steps and returns masks only.  Its rows hold the table's own
-key objects, since the kernel keeps one object per successor value, so
-the seen-set and every dict keyed by the table find a successor by
-identity.  Its callers name, relabel or test the masks; none decodes
-them.  ``refine.leq_aia`` searches pairs of mask antichains the same
-way.
+Configurations are searched as the objects of the automaton's mask
+kernel (see :mod:`altia._kernel`): :func:`_rows` starts from the kernel's
+initial configuration, steps through the kernel and tests top and bottom
+by identity.  Its rows hold the table's own key objects, since the
+kernel keeps one object per successor value, so the seen-set and every
+dict keyed by the table find a successor by identity.  Its callers name,
+relabel or test them through the kernel; none decodes them.
+``refine.leq_aia`` searches pairs of them the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import ExplorationLimitError
-from .lattice import _Masks
 
 DEFAULT_CAP = 100_000
 
@@ -79,25 +77,30 @@ class Search:
         return tuple(reversed(out))
 
 
-def reachable(s, cap: int = DEFAULT_CAP) -> dict[_Masks, dict[str, _Masks]]:
-    """The determinization table of ``s`` on its kernel's mask antichains.
+def _rows(s, cap: int = DEFAULT_CAP) -> Iterator[tuple[Hashable, dict[str, Hashable]]]:
+    """The determinization table of ``s``, row by row as it is reached.
 
-    Maps every nontrivial (neither top nor bottom) configuration
-    reachable from the initial one to its successor row, one entry per
-    label, in breadth-first discovery order.  Empty when the initial
-    configuration is itself top or bottom.
+    Each nontrivial (neither top nor bottom) configuration reachable from
+    the initial one, with its successor per label, in breadth-first
+    discovery order, as objects of ``s``'s kernel; nothing when the
+    initial configuration is top or bottom.  Visiting more than ``cap``
+    configurations raises :class:`ExplorationLimitError`.
     """
+    k = s._masks()
+    top, bottom = k.top, k.bottom
+    if k.initial is top or k.initial is bottom:
+        return
     labels = sorted(s.inputs) + sorted(s.outputs)
-    table: dict = {}
-    kernel = s._masks()
-    if not kernel.initial or 0 in kernel.initial:  # bottom or top
-        return table
-    step = kernel.step
-    search = Search([kernel.initial], cap)
+    step = k.step
+    search = Search([k.initial], cap)
     for _, e in search:
         row = {label: step(e, label) for label in labels}
         for t in row.values():
-            if t and 0 not in t:  # neither bottom nor top
+            if t is not top and t is not bottom:
                 search.push(t)
-        table[e] = row
-    return table
+        yield e, row
+
+
+def reachable(s, cap: int = DEFAULT_CAP) -> dict[Hashable, dict[str, Hashable]]:
+    """The determinization table of ``s``: every row of :func:`_rows`."""
+    return dict(_rows(s, cap))

@@ -28,7 +28,7 @@ from .aia import AIA, aia_bot, aia_top
 from .determinize import _relabelled
 from .errors import AlphabetError, ModelError
 from .ia import IA, FTrace, Label, inp
-from .lattice import Config, Kind, _Masks, bot, classify, embed, top
+from .lattice import Config, Kind, bot, classify, embed, top
 from .rng import SplitMix64
 from .search import DEFAULT_CAP, Search, reachable
 
@@ -173,9 +173,9 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
     for m, succ in table.items():
         row = {x: target[succ[x]] for x in s.outputs}
         for a in s.inputs:
-            t = succ[a]
-            if 0 not in t:  # an underspecified (top) input is not tested
-                row[a] = target[t]
+            t = target[succ[a]]
+            if t is not _PASS:  # an underspecified (top) input is not tested
+                row[a] = t
                 row[refusal(a)] = _FAIL
         if row:
             trans[names[m]] = row
@@ -322,7 +322,7 @@ def gen_singular(s: AIA, seed: int, max_depth: int, p_stop: float) -> AIA:
         return aia_top(s.inputs, s.outputs, name=f"singular({s.name})")
     if s.initial.is_bot:
         return aia_bot(s.inputs, s.outputs, name=f"singular({s.name})")
-    # The tree walks the kernel's mask antichains: top is {0}, bottom empty.
+    # The tree walks the kernel's configurations.
     k = s._masks()
     step = k.step
     rng = SplitMix64(seed)
@@ -337,7 +337,7 @@ def gen_singular(s: AIA, seed: int, max_depth: int, p_stop: float) -> AIA:
         can_extend = depth + 1 < max_depth
         row: dict[str, Config] = {}
         children = []
-        candidates = [a for a in inputs if 0 not in step(e, a)]
+        candidates = [a for a in inputs if step(e, a) is not k.top]
         if candidates and can_extend:
             pick = rng.below(len(candidates) + 1)
             if pick > 0:
@@ -347,9 +347,9 @@ def gen_singular(s: AIA, seed: int, max_depth: int, p_stop: float) -> AIA:
                 children.append((child, step(e, a)))
         for x in outputs:
             nxt = step(e, x)
-            if not nxt:
+            if nxt is k.bottom:
                 continue
-            if 0 in nxt or not can_extend or rng.random() < p_stop:
+            if nxt is k.top or not can_extend or rng.random() < p_stop:
                 row[x] = top()
             else:
                 child = trace + (Label(x, False),)
@@ -430,11 +430,11 @@ def is_singular_for(s2: AIA, s1: AIA) -> bool:
         return False
     if s1.initial.is_top:
         return False
-    # s1 is walked on its kernel's mask antichains: top is {0}, bottom empty.
+    # s1 is walked on its kernel's configurations.
     k1 = s1._masks()
     root = s2.initial.single_state
     seen = {root}
-    stack: list[tuple[str, _Masks]] = [(root, k1.initial)]
+    stack = [(root, k1.initial)]
     while stack:
         node, e1 = stack.pop()
         constrained_inputs = 0
@@ -447,12 +447,12 @@ def is_singular_for(s2: AIA, s1: AIA) -> bool:
                 continue
             here = k1.step(e1, label)
             if kind is Kind.BOT:
-                if here:  # not bottom
+                if here is not k1.bottom:
                     return False
                 continue
             if kind is Kind.COMPOUND:
                 return False
-            if 0 in here:  # top
+            if here is k1.top:
                 return False
             child = cfg.single_state
             if child in seen:  # shared or looping target: not a tree

@@ -415,7 +415,7 @@ def test_reachable_rows_hold_the_table_keys():
     # enough to join three or more clause images on up-sets, and those
     # joins' successors are key objects too.
     from altia import det
-    from altia.aia import _UP_MAX_STATES
+    from altia._kernel import _UP_MAX_STATES
 
     entries = wide = 0
     specs = rand_aia_stepping(SplitMix64(72), 30, n_states=6)
@@ -444,6 +444,69 @@ def test_reachable_rows_hold_the_table_keys():
     for e in compound:
         for l in sorted(s.labels):
             assert s.step(e, l) is s.step(e, l) is s.step(Config(e.clauses), l)
+
+
+def test_kernel_top_and_bottom_are_one_object_each():
+    # The searches test top and bottom by identity: every step result equal
+    # to the top or bottom mask antichain is the kernel's own top or bottom
+    # object, and so is a top or bottom initial configuration, also one
+    # built apart.  Clause images, which induce_ia tests, keep them too.
+    # Specs start at top, bottom and compound configurations, have kernels
+    # on both sides of _UP_MAX_STATES, and include det's seeded kernels and
+    # conj-built automata.
+    from altia import det
+    from altia._kernel import _UP_MAX_STATES
+    from altia.lattice import _TOP_MASKS, Config
+    from altia.search import Search
+
+    rng = SplitMix64(171)
+    small = [rand_aia(rng, n_states=6) for _ in range(40)]
+    large: list = []
+    while len(large) < 6:
+        s = rand_aia(rng, n_states=2 * _UP_MAX_STATES)
+        if len(s.states) > _UP_MAX_STATES:
+            large.append(s)
+    specs = small + large
+    for s in small[:8] + large[:2]:
+        q = sorted(s.states)
+        for initial in (top(), bot(), Config([()]), Config([]), embed(q[0]) & embed(q[-1]),
+                        rand_wide_config(rng, q)):
+            specs.append(AIA(s.states, s.inputs, s.outputs, s.transitions, initial))
+    specs += [det(s) for s in small[:20]]
+    specs += [conj(a, b) for a, b in zip(small[:10], small[10:20])]
+    seen = {"top": 0, "bottom": 0, "top initial": 0, "bottom initial": 0, "compound": 0,
+            "large": 0, "seeded": 0}
+    for a in specs:
+        k = a._masks()
+        assert (k.initial is k.top) == a.initial.is_top
+        assert (k.initial is k.bottom) == a.initial.is_bot
+        seen["top initial"] += a.initial.is_top
+        seen["bottom initial"] += a.initial.is_bot
+        seen["compound"] += len(a.initial.clauses) > 1
+        seeded = bool(k.steps)
+        labels = sorted(a.labels)
+        search = Search([k.initial, k.top, k.bottom])
+        for i, m in search:
+            if i == 150:
+                break
+            for l in labels:
+                t = k.step(m, l)
+                assert (t is k.top) == (t == _TOP_MASKS)
+                assert (t is k.bottom) == (t == frozenset())
+                seen["top"] += t is k.top
+                seen["bottom"] += t is k.bottom
+                seen["large"] += not k.small
+                seen["seeded"] += seeded
+                search.push(t)
+                for c in m:
+                    img = k.image(c, l)
+                    assert (img is k.top) == (img == _TOP_MASKS)
+                    assert (img is k.bottom) == (img == frozenset())
+    # 1,982 tops, 727 bottoms, 31 and 31 trivial and 18 compound initial
+    # configurations, 7,252 steps of large kernels, 2,640 of seeded ones
+    assert seen["top"] >= 1500 and seen["bottom"] >= 500, seen
+    assert min(seen["top initial"], seen["bottom initial"], seen["compound"]) >= 15, seen
+    assert seen["large"] >= 5000 and seen["seeded"] >= 2000, seen
 
 
 def test_step_is_substitution_on_larger_specs():
@@ -475,7 +538,7 @@ def test_up_set_joins_agree_with_absorption():
     # union of the images, as every kernel did before.  On specs of each
     # size from one state to one past the bound, every step of the first
     # reachable configurations and of wide draws equals that absorption.
-    from altia.aia import _UP_MAX_STATES
+    from altia._kernel import _UP_MAX_STATES
     from altia.lattice import _TOP_MASKS, _mask_antichain
     from altia.search import Search
 

@@ -96,6 +96,34 @@ def test_det_random_properties():
         d = det(s)
         assert check_deterministic(d)
         assert aia_member_set(d, words) == aia_member_set(s, words)
+    # check_deterministic reads reachable's rows as the search reaches
+    # them.  Without a cap it agrees with "the initial configuration and
+    # every configuration of the whole table are top, bottom or one state";
+    # under a cap it raises exactly when the rows up to the first compound
+    # one number more than the cap, and otherwise gives that verdict.  The
+    # specs and their determinizations, whose whole tables are searched.
+    rng = SplitMix64(42)
+    seen = {"true": 0, "false": 0, "capped": 0}
+    for n in range(1, 10):
+        for _ in range(30):
+            spec = rand_aia(rng, n_states=n)
+            for s in (spec, det(spec)):
+                table = reachable(s)
+                reached = [s.initial, *map(s._masks().decode, table)]
+                reached += [s._masks().decode(t) for row in table.values() for t in row.values()]
+                simple = all(classify(e) is not Kind.COMPOUND for e in reached)
+                visits = 0 if classify(s.initial) is Kind.COMPOUND else _check_visits(s)
+                for cap in (None, 3, 20):
+                    if cap is not None and visits > cap:
+                        with pytest.raises(ExplorationLimitError):
+                            check_deterministic(s, cap)
+                        seen["capped"] += 1
+                    else:
+                        got = check_deterministic(s) if cap is None else check_deterministic(s, cap)
+                        assert got == simple
+                        seen["true" if got else "false"] += 1
+    # 1,120 and 360 verdicts and 140 cap exits on this seed
+    assert seen["true"] >= 900 and seen["false"] >= 300 and seen["capped"] >= 100, seen
 
 
 def test_det_commutes_with_after():
@@ -253,7 +281,7 @@ def test_exploration_frees_its_configurations():
     import gc
     import weakref
 
-    from altia.aia import _MaskKernel
+    from altia._kernel import _MaskKernel
     from altia.lattice import Config
 
     def live(kind):
