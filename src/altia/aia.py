@@ -270,24 +270,18 @@ def induce_aia(i: IA) -> AIA:
 
     Successor sets become disjunctions; an input without transitions
     becomes top (underspecified), an output without transitions bottom
-    (forbidden, since an empty disjunction is bottom).
+    (forbidden, since an empty disjunction is bottom).  The table is total
+    over ``i``'s states, which hold every target, and no input maps to
+    bottom, so the automaton is valid by construction.
     """
     trans: dict[str, dict[str, Config]] = {}
     for q in i.states:
-        row: dict[str, Config] = {}
-        for a in i.inputs:
-            succs = i.succ(q, a)
-            row[a] = _states_join(succs) if succs else top()
-        for x in i.outputs:
-            row[x] = _states_join(i.succ(q, x))
+        given = i.transitions.get(q, {})
+        row = {a: _states_join(given[a]) if a in given else top() for a in i.inputs}
+        row.update((x, _states_join(given.get(x, ()))) for x in i.outputs)
         trans[q] = row
-    return AIA(
-        i.states,
-        i.inputs,
-        i.outputs,
-        trans,
-        _states_join(i.initial),
-        name=f"aia({i.name})",
+    return AIA._valid(
+        i.states, i.inputs, i.outputs, trans, _states_join(i.initial), f"aia({i.name})"
     )
 
 

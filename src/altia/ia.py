@@ -58,9 +58,15 @@ class IA:
     """An interface automaton.
 
     ``transitions`` maps state -> label name -> successor states; pairs
-    without an entry have no transition.  Instances are validated on
-    construction and must be treated as immutable afterwards; all
-    operations on them are pure.
+    without an entry have no transition, and no successor set is empty.
+    Instances are validated on construction and must be treated as
+    immutable afterwards; all operations on them are pure.
+
+    Each automaton keeps a private successor index, built from
+    ``transitions`` on first use and freed with it, so ``transitions``
+    must not be mutated: per state, its row in sorted label order with
+    sorted successor tuples (a label missing from it has no transition),
+    and each input paired with its refusal label ``~a``, in sorted order.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="ia"):
@@ -90,6 +96,7 @@ class IA:
                 if ss:
                     table.setdefault(q, {})[label] = ss
         self.transitions = table
+        self._index = None
 
     @classmethod
     def _valid(cls, states, inputs, outputs, transitions, initial, name) -> IA:
@@ -105,11 +112,21 @@ class IA:
         self.outputs = outputs
         self.initial = initial
         self.transitions = transitions
+        self._index = None
         return self
 
     @property
     def labels(self) -> frozenset[str]:
         return self.inputs | self.outputs
+
+    def _successors(self):
+        """The successor index: (rows, refusals), built on first use."""
+        index = self._index
+        if index is None:
+            rows = {q: {l: tuple(sorted(row[l])) for l in sorted(row)}
+                    for q, row in self.transitions.items()}
+            index = self._index = rows, tuple((a, "~" + a) for a in sorted(self.inputs))
+        return index
 
     def succ(self, q: str, label_name: str) -> frozenset[str]:
         return self.transitions.get(q, {}).get(label_name, frozenset())
@@ -157,6 +174,12 @@ def after_set(s: IA, from_states: Iterable[str], trace: Sequence[Label]) -> froz
         raise ModelError(f"states {sorted(cur - s.states)} not declared in {s.name!r}")
     for lab in trace:
         _check_label(s, lab)
+    return _after(s, cur, trace)
+
+
+def _after(s: IA, cur: frozenset[str], trace: Sequence[Label]) -> frozenset[str]:
+    # after_set without its checks, for callers that have made them
+    for lab in trace:
         cur = frozenset(r for q in cur for r in s.succ(q, lab.name))
     return cur
 
@@ -196,10 +219,10 @@ def ftrace_member(s: IA, ft: FTrace) -> bool:
     that cannot be followed at all).
     """
     _check_ftrace(s, ft)
-    reached = after_set(s, s.initial, ft.body)
+    reached = _after(s, s.initial, ft.body)
     if ft.failure is None:
         return bool(reached)
-    return ft.failure not in in_set(s, reached)
+    return any(not s.succ(q, ft.failure) for q in reached)
 
 
 def fcl_member(s: IA, ft: FTrace) -> bool:

@@ -6,7 +6,8 @@ implementation: the implementation's inputs are the tester's outputs
 tester also offers the refusal observation ``~a``, so a blocked input is
 itself observable.  Two sink states, ``pass`` and ``fail``, carry the
 verdict; testing is reachability of ``fail`` in the synchronous product
-of tester and implementation.
+of tester and implementation, which reads both automata's successor
+indexes (see :class:`~altia.ia.IA`).
 
 A *test case* is a tester that offers at most one stimulus per state and
 whose runs all reach a verdict in finitely many steps.  Test cases are
@@ -199,17 +200,20 @@ def _check_compatible(t: Tester, i: IA) -> None:
 def _product_moves(t: Tester, i: IA, qt: str, qi: str):
     """Enabled (label, [(qt', qi'), ...]) moves of the synchronous product,
     in sorted label order; a refusal ``~a`` fires exactly when the tester
-    offers it and the implementation cannot take ``a``."""
+    offers it and the implementation cannot take ``a``.  Both automata's
+    successor indexes supply the sorted labels and successors."""
+    trow = t.ia._successors()[0].get(qt, {})
+    rows, refusals = i._successors()
+    irow = rows.get(qi, {})
     moves = []
-    for l in sorted(i.inputs | i.outputs):
-        ts = t.ia.succ(qt, l)
-        is_ = i.succ(qi, l)
-        if ts and is_:
-            moves.append((l, [(qt2, qi2) for qt2 in sorted(ts) for qi2 in sorted(is_)]))
-    for a in sorted(i.inputs):
-        ts = t.ia.succ(qt, refusal(a))
-        if ts and not i.succ(qi, a):
-            moves.append((refusal(a), [(qt2, qi) for qt2 in sorted(ts)]))
+    for l, is_ in irow.items():
+        ts = trow.get(l)
+        if ts:
+            moves.append((l, [(qt2, qi2) for qt2 in ts for qi2 in is_]))
+    for a, r in refusals:
+        ts = trow.get(r)
+        if ts and a not in irow:
+            moves.append((r, [(qt2, qi) for qt2 in ts]))
     return moves
 
 

@@ -141,6 +141,23 @@ def ia_fcl_member(i: IA, ft: FTrace) -> bool:
     return False
 
 
+def product_moves(t, i: IA, qt: str, qi: str) -> list:
+    """The moves of the product of tester ``t`` and ``i`` at ``(qt, qi)``,
+    read from the two transition tables by name: per label of ``i`` in
+    sorted order that both take, every pair of successors in sorted order;
+    then per input ``a`` of ``i`` in sorted order that ``i`` cannot take,
+    the tester's successors under ``~a``, paired with ``qi``."""
+    trow, irow = t.ia.transitions.get(qt, {}), i.transitions.get(qi, {})
+    moves = []
+    for l in sorted(i.inputs | i.outputs):
+        if l in trow and l in irow:
+            moves.append((l, [(x, y) for x in sorted(trow[l]) for y in sorted(irow[l])]))
+    for a in sorted(i.inputs):
+        if "~" + a in trow and a not in irow:
+            moves.append(("~" + a, [(x, qi) for x in sorted(trow["~" + a])]))
+    return moves
+
+
 def ia_member_set(i: IA, words) -> frozenset:
     return frozenset(str(w) for w in words if ia_member(i, w))
 

@@ -19,7 +19,7 @@ from altia import (
     trace_verdict,
 )
 from altia.aia import ftrace_member, rename_states
-from altia.lattice import Config, bot, embed, join, meet, meet_all, substitute, top
+from altia.lattice import Config, bot, embed, join, join_all, meet, meet_all, substitute, top
 from altia.io import parse_trace
 from altia.rng import SplitMix64
 from altia.search import reachable
@@ -154,6 +154,34 @@ def test_induce_aia_is_the_closure():
     for _ in range(30):
         i = rand_ia(rng)
         assert aia_member_set(induce_aia(i), words) == ia_fcl_set(i, words)
+
+
+def test_induce_aia_is_valid_by_construction():
+    # induce_aia skips the constructor's checks: the checked constructor
+    # must accept its parts, and build the same automaton from a sparse
+    # table of joins made apart from induce_aia
+    def checked(i):
+        trans = {q: {l: join_all(map(embed, ss)) for l, ss in row.items()}
+                 for q, row in i.transitions.items()}
+        return AIA(i.states, i.inputs, i.outputs, trans,
+                   join_all(map(embed, i.initial)), name=f"aia({i.name})")
+
+    rng = SplitMix64(18)
+    draws = [rand_ia(rng) for _ in range(200)]
+    # no initial state, states without rows, inputs without transitions anywhere
+    draws.append(IA(("p", "q"), ("a", "b"), ("x",), {"p": {"x": {"q"}}}, (), name="sparse"))
+    seen = dict.fromkeys(("empty initial", "state without row", "input never taken"), 0)
+    for i in draws:
+        alt = induce_aia(i)
+        assert alt == checked(i)
+        assert alt == AIA(alt.states, alt.inputs, alt.outputs, alt.transitions, alt.initial)
+        assert alt.name == f"aia({i.name})"
+        seen["empty initial"] += not i.initial
+        seen["state without row"] += any(q not in i.transitions for q in i.states)
+        seen["input never taken"] += any(
+            all(a not in row for row in i.transitions.values()) for a in i.inputs
+        )
+    assert all(seen.values()), seen
 
 
 def test_induce_ia_bottom_is_empty():

@@ -25,10 +25,10 @@ from altia import (
 from altia import testing as mbt
 from altia.aia import ftrace_member as aia_member_impl
 from altia.cli import main as cli_main
-from altia.io import parse_trace, save_model
+from altia.io import parse_model, parse_trace, print_model, save_model
 from altia.rng import SplitMix64
 
-from oracles import rand_aia, rand_ia
+from oracles import product_moves, rand_aia, rand_ia
 
 GOOD_SEED_FOR_SCENARIO = 70  # found by scanning seeds; frozen for reproducibility
 
@@ -157,6 +157,80 @@ def test_product_refusal_edge(machine):
     v = verdict_exhaustive(t, stubborn)
     assert not v.passed
     assert v.witness.failure is not None
+
+
+# A hand-written tester with two stimuli, a state offering both and a
+# refusal that passes.
+_TWO_STIMULI = """ia hand
+states s0 s1 pass fail
+inputs x y
+outputs a b ~a ~b
+init s0
+s0 !a -> s1
+s0 ~a -> fail
+s0 !b -> pass
+s0 ~b -> pass
+s0 ?x -> s0
+s0 ?y -> fail
+s1 ?x -> pass
+s1 ?y -> s0
+pass ?x -> pass
+pass ?y -> pass
+fail ?x -> fail
+fail ?y -> fail
+"""
+
+
+def test_product_moves_match_the_oracle(machine, widget, scenario, models_dir):
+    # On every product pair reachable from the initial pairs (a superset of
+    # what verdict_exhaustive's search reaches), the moves are the oracle's
+    # list, order included: seeded runs and witnesses depend on it.
+    rng = SplitMix64(1818)
+    testers = {"built": [], "case": [], "parsed": [], "models": [], "crossed": []}
+    for n in range(12):
+        spec = rand_aia(rng, n_states=3 + n % 4)
+        testers["built"].append(build_tester(spec))
+        testers["case"].append(build_tester(gen_singular(spec, n, 5, 0.2)))
+        # printed, parsed through IA(...) and checked as a user's tester
+        testers["parsed"].append(mbt.Tester(parse_model(print_model(build_tester(spec).ia))))
+    testers["parsed"].append(mbt.Tester(parse_model(_TWO_STIMULI)))
+    testers["models"] += [build_tester(s) for s in (machine, widget, scenario)]
+    # testers whose observations p and ~p are the outputs of other testers
+    testers["crossed"] += [
+        build_tester(rand_aia(rng, n_states=4 + n % 3, inputs=("a", "b"), outputs=("p", "~p")))
+        for n in range(6)
+    ]
+    impls_of = {}
+    for n in range(8):  # IA._valid-built automata, run as implementations
+        t2 = build_tester(rand_aia(rng, n_states=2 + n % 3, inputs=("p",), outputs=("a", "b")))
+        impls_of.setdefault((t2.ia.inputs, t2.ia.outputs), []).append(t2.ia)
+    for path in sorted(models_dir.glob("*.ia")):
+        i = parse_model(path.read_text(encoding="utf-8"))
+        impls_of.setdefault((i.inputs, i.outputs), []).append(i)
+    reached = dict.fromkeys(testers, 0)
+    for kind, group in testers.items():
+        for t in group:
+            key = (t.stimuli, t.observations)
+            impls = impls_of.get(key, []) + [
+                rand_ia(rng, n_states=5, inputs=sorted(key[0]), outputs=sorted(key[1]))
+                for _ in range(5)
+            ]
+            for i in impls:
+                seen = {(t.initial, qi) for qi in i.initial}
+                stack = list(seen)
+                while stack:
+                    qt, qi = stack.pop()
+                    expected = product_moves(t, i, qt, qi)
+                    assert mbt._product_moves(t, i, qt, qi) == expected, (t.ia.name, i.name, qt, qi)
+                    reached[kind] += 1
+                    if qt in (mbt.PASS, mbt.FAIL):
+                        continue
+                    for _, succs in expected:
+                        for nxt in succs:
+                            if nxt not in seen:
+                                seen.add(nxt)
+                                stack.append(nxt)
+    assert min(reached.values()) >= 50, reached
 
 
 def test_exhaustive_verdicts(machine, good_machine, faulty_tea):

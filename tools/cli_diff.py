@@ -7,7 +7,7 @@ and runs one fixed command set over the models in ``models/`` in both
 trees, one ``python -m altia`` process per command, then every script of
 ``demos/``, one ``python demos/<script>`` process each.  Both trees read
 the same copy of this tree's ``models/`` and ``demos/``, so only the
-program differs.  The set has 546 commands: 542 for the nine models,
+program differs.  The set has 654 commands: 650 for the nine models,
 ``NESTED_MODEL`` and ``AWKWARD_MODEL``, and one per demo script (four):
 
 - per model: ``check``, ``det`` to stdout and to a file, ``tester`` to a
@@ -18,8 +18,12 @@ program differs.  The set has 546 commands: 542 for the nine models,
   ``--json`` (a trace outside a model's alphabet is an input error, and
   its message is compared too);
 - per ordered pair of models: ``refine --json`` and ``compose --and``;
-- per tester and ``.ia`` model: ``run --exhaustive --json``, ``run --json``
-  and ``run --runs 3 --json``;
+- per tester and ``.ia`` model: ``run --exhaustive --json``, ``run --json``,
+  ``run --runs 3 --json`` and, with ``LONG_RUNS``, twenty runs that end
+  at the step budget (``# max-steps``) or at a verdict; and ``run`` of
+  the first test case that ``testgen`` wrote for the tester's model.
+  Where the alphabets of tester and model differ, the command is an
+  input error, and its message is compared too;
 - on ``NESTED_MODEL``, which the tool writes into each work directory:
   ``check``, ``det``, ``dot``, ``to-ia`` and ``member`` per trace of
   ``NESTED_TRACES``;
@@ -51,6 +55,9 @@ MEMBER_TRACES = ("", "?a", "?on", "?on ?b", "?on ?b !t+m", "?on ~b", "?a !x")
 
 # A second ``testgen`` per model: more cases, cut off less often.
 WIDE_TESTGEN = ("--seed", "3", "--depth", "5", "--p-stop", "0.1", "--count", "4")
+
+# Random runs of a tester that mostly end at the step budget.
+LONG_RUNS = ("--runs", "20", "--seed", "5", "--max-steps", "6")
 
 # Expressions with nested parentheses, F absorbed inside a conjunction, T
 # inside a disjunction, and quoted names, one of them "T".
@@ -119,6 +126,8 @@ def commands(models: list[str], demos: list[str]) -> list[list[str]]:
                 ["run", "--exhaustive", "--json", tester, impl],
                 ["run", "--json", tester, impl],
                 ["run", "--runs", "3", "--json", tester, impl],
+                ["run", f"gen/{stem}/case_000_tester.ia", impl],
+                ["run", *LONG_RUNS, "--json", tester, impl],
             ]
     cmds += [[command, "nested.aia"] for command in ("check", "det", "dot", "to-ia")]
     cmds += [["member", "nested.aia", "--trace", trace] for trace in NESTED_TRACES]
