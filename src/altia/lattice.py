@@ -14,22 +14,24 @@ antichain (no clause contains another).  That form is unique per lattice
 element, so ``==`` on clause sets decides lattice equality.  Clauses are
 ordered (:func:`sorted_clauses`) only where text is written, by one writer.
 
-This name-based form is the public boundary.  Absorption is computed
-on *mask antichains*: a numbering of state names turns a clause into
+A configuration has two forms.  Its clause sets of names are the
+public boundary, and the public operations build their result clauses
+as name frozensets directly.  Absorption runs on *mask antichains*
+alone: a numbering of state names (``_Numbering``) turns a clause into
 the ``int`` with one bit per member, so ``k & m == k`` tests
 containment, and a configuration into the frozenset of its clause
 masks.  Absorption (``_mask_antichain``) and meet (``_mask_meet``) are
-defined once, on masks.  The public operations build their result
-clauses as name frozensets directly, carrying each clause mask beside
-its names where absorption needs it, and absorb only where the
-operands' state sets show that absorption can happen: a join among the
-clauses that touch a state of two or more operands, a meet at a factor
-that shares a state with the factors before it, and a substitution
-unless its targets are one non-empty clause each and pairwise disjoint.
-The parser and each automaton's kernel fold the mask functions over
-one numbering of their own and decode the result, a clause mask to
-names by its set bits; a kernel of few states joins on up-sets (see
-:mod:`altia._kernel`).
+defined once, on masks.  The public operations absorb through one
+helper, ``_absorb``, which encodes clauses, absorbs their masks and
+gives back the kept clause objects, and call it only where the
+operands' state sets show that absorption can happen: the constructor
+always, a join among the clauses that touch a state of two or more
+operands, and a meet at an operand that shares a state with the ones
+before it.  A substitution is, by definition, a join of meets, unless
+it is a renaming.  The parser and each automaton's kernel fold the
+mask functions over one numbering of their own and decode the result,
+a clause mask to names by its set bits; a kernel of few states joins
+on up-sets (see :mod:`altia._kernel`).
 
 There is no global table of instances: an automaton's boundary memo
 gives its own equal successors one object.  All values are immutable
@@ -97,40 +99,6 @@ def _mask_meet(a: _Masks, b: _Masks) -> _Masks:
     return _mask_antichain({x | y for x in a for y in b})
 
 
-# Named clauses: each clause's mask, under one numbering, mapped to the
-# clause's member names, so that a result is built without decoding.  A
-# named antichain is one whose masks form a mask antichain.
-_Named = dict[int, Clause]
-_TOP_NAMED: _Named = {0: _EMPTY}
-
-
-def _bits(names: Iterable[str]) -> dict[str, int]:
-    """A numbering of ``names``: each name's bit."""
-    return {q: 1 << i for i, q in enumerate(names)}
-
-
-def _named(clauses: Iterable[Clause], bit: Mapping[str, int]) -> _Named:
-    """``clauses`` by their masks under ``bit``, keeping the clause objects."""
-    bit = bit.__getitem__
-    return {sum(map(bit, c)): c for c in clauses}
-
-
-def _product(a: _Named, b: _Named) -> _Named:
-    """The pairwise unions of two named antichains, with top ``{0}`` as unit;
-    not absorbed."""
-    if 0 in b:
-        return a
-    if 0 in a:
-        return b
-    return {x | y: cx | cy for x, cx in a.items() for y, cy in b.items()}
-
-
-def _absorbed(named: _Named) -> _Named:
-    """The clauses of ``named`` that contain no other one."""
-    kept = _mask_antichain(named.keys())
-    return named if len(kept) == len(named) else {m: named[m] for m in kept}
-
-
 # bin(m)[:1:-1] is a clause mask's bits, lowest first; this table turns
 # each digit into the byte 0 or 1 that itertools.compress selects with
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -142,16 +110,17 @@ def _selector(m: int) -> bytes:
 
 class _Numbering:
     """A fixed set of state names as bits, which never grows: encoding any
-    other name raises ``KeyError``.  Decoding reuses the clause frozensets
-    that were encoded and decodes any other clause mask once, selecting
-    the names of its set bits at C level; a clause mask's bit indices are
-    also found once."""
+    other name raises ``KeyError``.  Encoding records each clause object
+    under its mask, so decoding gives back the clause frozensets that were
+    encoded, the first one per mask; any other clause mask is decoded
+    once, selecting the names of its set bits at C level.  A clause mask's
+    bit indices are also found once."""
 
     __slots__ = ("names", "bit", "clauses", "bits")
 
     def __init__(self, names: Iterable[str]):
         self.names = tuple(names)  # in bit order
-        self.bit = _bits(self.names)
+        self.bit = {q: 1 << i for i, q in enumerate(self.names)}
         self.clauses: dict[int, Clause] = {}  # clause mask -> member names
         self.bits: dict[int, tuple[int, ...]] = {}  # clause mask -> bit indices
 
@@ -190,6 +159,13 @@ class _Numbering:
         return _from_antichain(frozenset(map(self.clause, masks)))
 
 
+def _absorb(clauses: Iterable[Clause], numbering: _Numbering) -> frozenset[Clause]:
+    """The clauses of ``clauses`` that contain no other one, each as the
+    object ``numbering`` first encoded for it, so nothing is decoded again;
+    ``numbering`` must cover their names."""
+    return frozenset(map(numbering.clause, _mask_antichain(numbering.encode(clauses))))
+
+
 class Config:
     """One lattice element: its canonical clause antichain ``clauses``,
     with that set's hash computed once.
@@ -203,8 +179,7 @@ class Config:
 
     def __new__(cls, clauses: Iterable[Iterable[str]]):
         clauses = [frozenset(c) for c in clauses]
-        named = _named(clauses, _bits(frozenset().union(*clauses)))
-        return _from_antichain(frozenset(_absorbed(named).values()))
+        return _from_antichain(_absorb(clauses, _Numbering(frozenset().union(*clauses))))
 
     @property
     def is_top(self) -> bool:
@@ -308,35 +283,35 @@ def join_all(items: Iterable[Config]) -> Config:
         seen |= s
     touching = [c for c in clauses if not shared.isdisjoint(c)]
     if len(touching) > 1:
-        named = _named(touching, _bits(frozenset().union(*touching)))
-        kept = _mask_antichain(named.keys())
-        if len(kept) < len(named):
-            clauses = clauses.difference([named[m] for m in named.keys() - kept])
+        kept = _absorb(touching, _Numbering(frozenset().union(*touching)))
+        clauses = clauses.difference(touching).union(kept)
     return _from_antichain(clauses)
 
 
 def meet_all(items: Iterable[Config]) -> Config:
     """Conjunction of finitely many configurations; empty gives top.
 
-    The operands are folded into a named antichain over one numbering of
-    their states: each product mask is carried with its clause, the union
-    of its factors' clauses, so the result is never decoded.  A product
-    step is absorbed only when the operand shares a state with those
-    folded in before it: a product of antichains over disjoint states is
-    an antichain.
+    The operands are folded by the pairwise unions of their clauses, with
+    top as the unit.  A product of antichains over disjoint states is an
+    antichain, so a step is absorbed only when its operand shares a state
+    with the operands folded in before it, over one numbering of all the
+    operands' states; the kept clauses are the product's own objects.
     """
     operands = list(items)
     if len(operands) == 1:  # top and e is e: a lone operand is returned as it is
         return operands[0]
     states = [e.states() for e in operands]
-    bit = _bits(frozenset().union(*states))
-    out, seen = _TOP_NAMED, frozenset()
+    numbering = _Numbering(frozenset().union(*states))
+    out, seen = _TOP_CLAUSES, frozenset()
     for e, s in zip(operands, states):
-        out = _product(out, _named(e.clauses, bit))
+        if out == _TOP_CLAUSES:
+            out = e.clauses
+        elif e.clauses != _TOP_CLAUSES:
+            out = {x | y for x in out for y in e.clauses}
         if not seen.isdisjoint(s):
-            out = _absorbed(out)
+            out = _absorb(out, numbering)
         seen |= s
-    return _from_antichain(frozenset(out.values()))
+    return _from_antichain(frozenset(out))
 
 
 def substitute(e: Config, f: Mapping[str, Config]) -> Config:
@@ -346,18 +321,13 @@ def substitute(e: Config, f: Mapping[str, Config]) -> Config:
     surfaces as the mapping's KeyError, which is a caller defect.  Keys
     of ``f`` that do not occur in ``e`` are ignored.
 
-    ``f[q]`` is looked up once per state of ``e``.  When every target is
-    one non-empty clause and those clauses are pairwise disjoint, the
-    substitution is an order embedding: each clause's image is the union
-    of its members' target clauses, the images form an antichain, and no
-    mask is built.  Otherwise the targets are named antichains over one
-    numbering of their states.  A clause's image is the meet of its
-    members' targets: the one-clause targets (top among them) are united
-    into one mask and clause, the others are multiplied and absorbed, and
-    a bottom target ends the clause.  Every clause's image goes into one
-    named antichain, which one absorption makes canonical, since
-    absorbing the union gives the same element as absorbing each image
-    first.
+    ``f[q]`` is looked up once per state of ``e``.  The result is the
+    join, over the clauses of ``e``, of the meets of their members'
+    targets, and is computed so, unless every target is one non-empty
+    clause and those clauses are pairwise disjoint.  Then the
+    substitution is an order embedding, a renaming: each clause's image
+    is the union of its members' target clauses, and the images form an
+    antichain as they stand.
     """
     targets = {q: f[q] for q in e.states()}
     if all(len(t.clauses) == 1 for t in targets.values()):
@@ -366,31 +336,7 @@ def substitute(e: Config, f: Mapping[str, Config]) -> Config:
         if all(members) and len(frozenset().union(*members)) == sum(map(len, members)):
             return _from_antichain(frozenset(frozenset().union(*map(image.__getitem__, c))
                                              for c in e.clauses))
-    bit = _bits(frozenset().union(*(t.states() for t in targets.values())))
-    one: dict[str, tuple[int, Clause]] = {}  # state -> its one-clause target
-    wide: dict[str, _Named] = {}  # state -> its other target, bottom included
-    for q, t in targets.items():
-        named = _named(t.clauses, bit)
-        if len(named) == 1:
-            (one[q],) = named.items()
-        else:
-            wide[q] = named
-    out: _Named = {}
-    for clause in e.clauses:
-        acc, acc_clause, img = 0, _EMPTY, _TOP_NAMED
-        for q in clause:
-            p = one.get(q)
-            if p is not None:
-                acc |= p[0]
-                acc_clause |= p[1]
-                continue
-            t = wide[q]
-            if not t:  # bottom absorbs the remaining members
-                break
-            img = _absorbed(_product(img, t))
-        else:
-            out.update({x | acc: c | acc_clause for x, c in img.items()})
-    return _from_antichain(frozenset(_absorbed(out).values()))
+    return join_all(meet_all(targets[q] for q in c) for c in e.clauses)
 
 
 def classify(e: Config) -> Kind:

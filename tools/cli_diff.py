@@ -5,10 +5,12 @@ Usage: python tools/cli_diff.py [-h] BASE_REV
 Extracts ``BASE_REV`` with ``git archive`` into a temporary directory
 and runs one fixed command set over the models in ``models/`` in both
 trees, one ``python -m altia`` process per command, then every script of
-``demos/``, one ``python demos/<script>`` process each.  Both trees read
-the same copy of this tree's ``models/`` and ``demos/``, so only the
-program differs.  The set has 654 commands: 650 for the nine models,
-``NESTED_MODEL`` and ``AWKWARD_MODEL``, and one per demo script (four):
+``demos/``, one ``python demos/<script>`` process each, and last
+``tools/lattice_draws.py``.  Both trees read the same copy of this
+tree's ``models/``, ``demos/`` and draw script, so only the program
+differs.  The set has 655 commands: 650 for the nine models,
+``NESTED_MODEL`` and ``AWKWARD_MODEL``, one per demo script (four) and
+the draw script:
 
 - per model: ``check``, ``det`` to stdout and to a file, ``tester`` to a
   file, ``to-ia``, ``to-aia``, ``dot`` and ``testgen`` twice, with the
@@ -30,7 +32,11 @@ program differs.  The set has 654 commands: 650 for the nine models,
 - on ``AWKWARD_MODEL``, also written by the tool: ``det``, ``tester``,
   ``to-ia`` and ``dot``;
 - each ``demos/*.py``, which drives the library directly (the lattice
-  operations among it) and may write files into the work directory.
+  operations among it) and may write files into the work directory;
+- ``lattice_draws.py``, a copy of ``tools/lattice_draws.py``, which
+  prints ``Config(...)``, ``join_all``, ``meet_all`` and ``substitute``
+  on 2,000 seeded draws, so a change to ``altia.lattice`` gets the same
+  check against its parent as the command line.
 
 Any difference in stdout, stderr, exit code or written files is
 reported, and the exit code is then 1; it is 0 when the trees agree.
@@ -49,6 +55,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+LATTICE_DRAWS = "lattice_draws.py"  # copied from tools/ into each work directory
 
 # Traces for ``member``: allowed ones print the reached configuration.
 MEMBER_TRACES = ("", "?a", "?on", "?on ?b", "?on ?b !t+m", "?on ~b", "?a !x")
@@ -96,9 +103,10 @@ q2 ?j -> a & q10 | q2
 
 
 def commands(models: list[str], demos: list[str]) -> list[list[str]]:
-    """The command set, each command as altia's arguments or, for a demo,
-    as the script's path, with paths relative to a work directory holding
-    ``models/``, ``demos/``, ``nested.aia`` and ``awkward.aia``."""
+    """The command set, each command as altia's arguments or, for a
+    script, as its path, with paths relative to a work directory holding
+    ``models/``, ``demos/``, ``nested.aia``, ``awkward.aia`` and
+    ``lattice_draws.py``."""
     stems = [Path(m).stem for m in models]
     cmds = []
     for m, stem in zip(models, stems):
@@ -133,12 +141,13 @@ def commands(models: list[str], demos: list[str]) -> list[list[str]]:
     cmds += [["member", "nested.aia", "--trace", trace] for trace in NESTED_TRACES]
     cmds += [[command, "awkward.aia"] for command in ("det", "tester", "to-ia", "dot")]
     cmds += [[demo] for demo in demos]
+    cmds += [[LATTICE_DRAWS]]
     return cmds
 
 
 def interpreter_args(cmd: list[str]) -> list[str]:
-    """What ``python`` runs for a command: a demo's script, or altia."""
-    return cmd if cmd[0].startswith("demos/") else ["-m", "altia", *cmd]
+    """What ``python`` runs for a command: a script, or altia."""
+    return cmd if cmd[0].endswith(".py") else ["-m", "altia", *cmd]
 
 
 def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, str, str]]:
@@ -151,6 +160,7 @@ def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, st
                 (work / d / f.name).write_bytes(f.read_bytes())
     (work / "nested.aia").write_text(NESTED_MODEL, encoding="utf-8")
     (work / "awkward.aia").write_text(AWKWARD_MODEL, encoding="utf-8")
+    (work / LATTICE_DRAWS).write_bytes((REPO / "tools" / LATTICE_DRAWS).read_bytes())
     for d in ("out", "testers", "gen"):
         (work / d).mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
