@@ -3,16 +3,18 @@
 Exit codes: 0 success (holds / pass / query answered), 1 a checked
 property fails (refinement fails, test fails), 2 usage or input error,
 3 exploration cap exceeded.
+
+Only the core modules load with this one; a command imports
+``determinize``, ``refine`` or ``testing`` when it runs, and ``json``
+only under ``--json``, so a process pays for the command it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import determinize, refine, testing
 from .aia import AIA, conj, disj, induce_aia, induce_ia, trace_verdict
 from .errors import AltiaError, ExplorationLimitError
 from .ia import IA
@@ -59,6 +61,8 @@ def _cmd_member(args) -> int:
         verdict = "member" if ftrace_member(m, ft) else "non-member"
         detail = None
     if args.json:
+        import json
+
         print(json.dumps({"verdict": verdict, "configuration": detail}))
     elif detail is not None:
         print(f"{verdict} {detail}")
@@ -68,6 +72,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    from . import determinize
+
     m = load_model(args.file)
     result = determinize.det(_as_aia(m), cap=args.cap)
     _emit(print_model(result), args.output)
@@ -75,6 +81,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    from . import refine
+
     left = load_model(args.left)
     right = load_model(args.right)
     if isinstance(left, IA) and isinstance(right, IA):
@@ -84,6 +92,8 @@ def _cmd_refine(args) -> int:
     else:
         res = refine.leq_aia(_as_aia(left), _as_aia(right), cap=args.cap)
     if args.json:
+        import json
+
         print(json.dumps({
             "verdict": "holds" if res.holds else "fails",
             "counterexample": None if res.holds else str(res.counterexample),
@@ -121,6 +131,8 @@ def _cmd_to_aia(args) -> int:
 
 
 def _cmd_tester(args) -> int:
+    from . import testing
+
     m = _as_aia(load_model(args.spec))
     t = testing.build_tester(m, cap=args.cap)
     _emit(print_model(t.ia), args.output)
@@ -128,6 +140,8 @@ def _cmd_tester(args) -> int:
 
 
 def _cmd_testgen(args) -> int:
+    from . import testing
+
     spec = _as_aia(load_model(args.spec))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -143,15 +157,13 @@ def _cmd_testgen(args) -> int:
     return 0
 
 
-def _load_tester(path) -> testing.Tester:
-    m = load_model(path)
-    if not isinstance(m, IA):
-        raise AltiaError(f"{path} does not hold a tester (an ia)")
-    return testing.Tester(m)
-
-
 def _cmd_run(args) -> int:
-    t = _load_tester(args.tester)
+    from . import testing
+
+    m = load_model(args.tester)
+    if not isinstance(m, IA):
+        raise AltiaError(f"{args.tester} does not hold a tester (an ia)")
+    t = testing.Tester(m)
     impl = load_model(args.impl)
     if not isinstance(impl, IA):
         raise AltiaError(f"{args.impl} does not hold an implementation ia")
@@ -176,6 +188,8 @@ def _cmd_run(args) -> int:
                 print(f"# run {k} seed {args.seed + k}")
             print(testing.format_verdict(v, with_log=True))
     if args.json:
+        import json
+
         worst = next((v for v in verdicts if not v.passed), verdicts[0])
         print(json.dumps({
             "verdict": "PASS" if failures == 0 else "FAIL",

@@ -37,6 +37,7 @@ omitted), so ``parse(print(m)) == m`` and printing is idempotent.
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Union
 
 from .aia import AIA
@@ -69,6 +70,13 @@ class _Tok:
         return f"_Tok({self.kind}, {self.text!r})"
 
 
+# A quoted name up to its closing quote, where a backslash takes the
+# character after it literally; a backslash with nothing after it leaves
+# the name unterminated.
+_QUOTED = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.DOTALL)
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _tokenize_line(line: str, lineno: int) -> list[_Tok]:
     toks = []
     i, n = 0, len(line)
@@ -81,17 +89,14 @@ def _tokenize_line(line: str, lineno: int) -> list[_Tok]:
             break
         col = i + 1
         if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and line[j] != '"':
-                if line[j] == "\\" and j + 1 < n:
-                    j += 1
-                buf.append(line[j])
-                j += 1
-            if j >= n:
+            m = _QUOTED.match(line, i)
+            if not m:
                 raise ParseError("unterminated quoted name", lineno, col)
-            toks.append(_Tok("quoted", "".join(buf), lineno, col))
-            i = j + 1
+            name = m.group(1)
+            if "\\" in name:
+                name = _ESCAPED.sub(r"\1", name)
+            toks.append(_Tok("quoted", name, lineno, col))
+            i = m.end()
             continue
         if c in "&|()":
             toks.append(_Tok("punct", c, lineno, col))

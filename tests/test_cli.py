@@ -365,3 +365,28 @@ def test_console_entry_point(models_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Forbidden"
+
+
+def _modules_after(argv):
+    # A fresh interpreter without site hooks runs one command, then lists
+    # the modules it loaded after the command's exit code.
+    src = str(Path(altia.__file__).resolve().parent.parent)
+    code = ("import sys\nfrom altia.cli import main\n"
+            f"code = main({[str(a) for a in argv]!r})\n"
+            "print(code, *sorted(sys.modules), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    code, *loaded = proc.stderr.split()
+    assert code == "0", proc.stderr
+    return set(loaded)
+
+
+def test_commands_import_only_what_they_run(models_dir):
+    loaded = _modules_after(["check", models_dir / "machine.aia"])
+    assert "altia.cli" in loaded and "altia.io" in loaded
+    unused = {"altia.testing", "altia.refine", "altia.determinize", "altia.rng",
+              "dataclasses", "json"}
+    assert not loaded & unused, loaded & unused
+    loaded = _modules_after(["refine", models_dir / "good_machine.ia",
+                             models_dir / "machine.aia"])
+    assert "altia.refine" in loaded and "altia.testing" not in loaded

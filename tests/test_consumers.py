@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import altia
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +43,61 @@ def test_demos_run_and_benchmark_imports_resolve(tmp_path):
                 missing += [f"{script.name}: {node.module}.{a.name}"
                             for a in node.names if not hasattr(module, a.name)]
     assert not missing
+
+
+# What ``from altia import *`` binds: the public names and the submodules
+# that define them.
+STAR_NAMES = {
+    "AIA", "AlphabetError", "AltiaError", "Clause", "Config", "ExplorationLimitError",
+    "FTrace", "IA", "Kind", "Label", "ModelError", "ParseError", "RefinementResult",
+    "SplitMix64", "Tester", "TraceStatus", "Verdict", "after", "after_set", "after_trace",
+    "aia", "aia_bot", "aia_ftrace_member", "aia_top", "bot", "build_tester",
+    "check_deterministic", "classify", "conj", "det", "deterministic", "determinize",
+    "disj", "dnf", "embed", "equiv", "errors", "fcl_member", "format_verdict",
+    "ftrace_member", "gen_singular", "ia", "in_set", "induce_aia", "induce_ia", "inp",
+    "io", "is_singular_for", "is_test_case", "join", "join_all", "lattice", "leq_aia",
+    "leq_ia", "leq_ia_aia", "load_model", "meet", "meet_all", "out", "parse_expr",
+    "parse_model", "parse_trace", "print_model", "refine", "rename_states", "rng",
+    "run_random", "save_model", "search", "singular_from_trace", "substitute",
+    "tester_problems", "testing", "to_dot", "top", "trace_verdict", "verdict_exhaustive",
+}
+SUBMODULES = {"aia", "determinize", "errors", "ia", "io", "lattice", "refine", "rng",
+              "search", "testing"}
+
+
+def test_public_names_resolve():
+    # A fresh ``import altia`` loads no submodule and its dir() lists every
+    # public name; the star import then binds the same 77 names the eager
+    # package bound.
+    src = str(Path(altia.__file__).resolve().parent.parent)
+    code = ("import sys\nimport altia\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('altia.')))\n"
+            "print(*dir(altia))\n"
+            "namespace = {}\nexec('from altia import *', namespace)\n"
+            "print(*sorted(set(namespace) - {'__builtins__'}))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded, listed, star = proc.stdout.split("\n")[:3]
+    assert loaded == "" and STAR_NAMES <= set(listed.split())
+    assert set(star.split()) == STAR_NAMES
+
+    # Each name resolves, submodules to themselves; a name the package
+    # lacks is an AttributeError, so hasattr and getattr with a default
+    # keep working.
+    assert len(STAR_NAMES) == 77 and set(altia.__all__) == STAR_NAMES
+    for name in STAR_NAMES:
+        value = getattr(altia, name)
+        if name in SUBMODULES:
+            assert value is importlib.import_module(f"altia.{name}")
+        else:
+            assert value is not None and not isinstance(value, type(altia))
+    assert altia.aia_ftrace_member is altia.aia.ftrace_member
+    assert altia.ftrace_member is altia.ia.ftrace_member
+    assert altia.det is altia.determinize.det
+    assert altia.SplitMix64 is altia.rng.SplitMix64
+    assert not hasattr(altia, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        altia.no_such_name
 
 
 def test_only_the_kernel_reads_masks():

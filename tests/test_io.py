@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -409,3 +410,95 @@ def test_dot_helper_nodes_never_collide_with_states():
             assert f'"{q}" [shape=point' not in dot
     assert {"____init0", "____top", "____j1"} <= helper_nodes(to_dot(s))
     assert to_dot(i).count("[shape=point,style=invis]") == 1
+
+
+def _reference_tokens(line, lineno):
+    """The tokenizer as it read quoted names one character at a time,
+    as (kind, text, line, column) or the ParseError's (message, line,
+    column)."""
+    from altia.lattice import PLAIN_NAME
+
+    toks = []
+    i, n = 0, len(line)
+    while i < n:
+        c = line[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if c == "#":
+            break
+        col = i + 1
+        if c == '"':
+            j = i + 1
+            buf = []
+            while j < n and line[j] != '"':
+                if line[j] == "\\" and j + 1 < n:
+                    j += 1
+                buf.append(line[j])
+                j += 1
+            if j >= n:
+                return ("unterminated quoted name", lineno, col)
+            toks.append(("quoted", "".join(buf), lineno, col))
+            i = j + 1
+            continue
+        if c in "&|()":
+            toks.append(("punct", c, lineno, col))
+            i += 1
+            continue
+        if line.startswith("->", i):
+            toks.append(("punct", "->", lineno, col))
+            i += 2
+            continue
+        if c in "?!~":
+            m = PLAIN_NAME.match(line, i + 1)
+            if not m:
+                return (f"{c!r} must be followed by a label name", lineno, col)
+            toks.append(("label", c + m.group(0), lineno, col))
+            i = m.end()
+            continue
+        m = PLAIN_NAME.match(line, i)
+        if not m:
+            return (f"unexpected character {c!r}", lineno, col)
+        toks.append(("word", m.group(0), lineno, col))
+        i = m.end()
+    return toks
+
+
+def _tokens(line, lineno):
+    from altia.io import _tokenize_line
+
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in _tokenize_line(line, lineno)]
+    except ParseError as exc:
+        return (str(exc).rsplit(" (line ", 1)[0], exc.line, exc.column)
+
+
+def test_tokenizer_matches_character_reference(models_dir, monkeypatch):
+    # The models, the determinized benchmark spec (a file of wide quoted
+    # names like "q0 | q1&q2") and random lines of quotes, backslashes,
+    # newlines and operators tokenize as the character-by-character
+    # reader did, errors and their columns included.
+    import importlib.util
+
+    texts = [p.read_text(encoding="utf-8") for p in sorted(models_dir.iterdir())]
+    root = models_dir.parent
+    spec = importlib.util.spec_from_file_location("perfbench_gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up there
+    spec.loader.exec_module(gen)
+    base, _ = gen.spec_in_band(gen.rng_for(0, "cli", "spec"), 7, ("a", "b", "c"),
+                               ("x", "y", "z"), (450, 600), 20, "spec", draw_all=True)
+    texts.append(print_model(det(gen.to_aia(gen.renamed(base, gen.rng_for(1, "cli"))))))
+    assert len(texts[-1]) > 100_000
+    lines = [line for text in texts for line in text.splitlines()]
+    lines += [
+        '"a\\"b"', '"a\\\\"', '"a\\\\\\"b" c', '"ab\\', '"ab\\"', '"', '""', '"\\"',
+        '"x\\\ny"', '"x\ny" z', 'q "T" & "s\\ 0"', '"a" "b', '"#" # "', '"é\\é"',
+    ]
+    rng = SplitMix64(20)
+    alphabet = '"\\ ab&|()#?!~-\n'
+    for _ in range(3000):
+        lines.append("".join(alphabet[rng.below(len(alphabet))]
+                             for _ in range(rng.below(14))))
+    for k, line in enumerate(lines, 1):
+        assert _tokens(line, k) == _reference_tokens(line, k), line

@@ -8,9 +8,13 @@ trees, one ``python -m altia`` process per command, then every script of
 ``demos/``, one ``python demos/<script>`` process each, and last
 ``tools/lattice_draws.py``.  Both trees read the same copy of this
 tree's ``models/``, ``demos/`` and draw script, so only the program
-differs.  The set has 655 commands: 650 for the nine models,
-``NESTED_MODEL`` and ``AWKWARD_MODEL``, one per demo script (four) and
-the draw script:
+differs.  The set has 669 commands: 650 for the nine models,
+``NESTED_MODEL`` and ``AWKWARD_MODEL``, 14 for help and usage, one per
+demo script (four) and the draw script:
+
+- help and usage: ``--help``, ``-h`` for each of the eleven commands of
+  ``SUBCOMMANDS``, a bare ``altia`` and an unknown command (both usage
+  errors), so the text argparse writes is compared too;
 
 - per model: ``check``, ``det`` to stdout and to a file, ``tester`` to a
   file, ``to-ia``, ``to-aia``, ``dot`` and ``testgen`` twice, with the
@@ -56,6 +60,10 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 LATTICE_DRAWS = "lattice_draws.py"  # copied from tools/ into each work directory
+
+# Every altia command, each asked for its help text.
+SUBCOMMANDS = ("check", "member", "det", "refine", "compose", "to-ia", "to-aia", "tester",
+               "testgen", "run", "dot")
 
 # Traces for ``member``: allowed ones print the reached configuration.
 MEMBER_TRACES = ("", "?a", "?on", "?on ?b", "?on ?b !t+m", "?on ~b", "?a !x")
@@ -108,7 +116,7 @@ def commands(models: list[str], demos: list[str]) -> list[list[str]]:
     ``models/``, ``demos/``, ``nested.aia``, ``awkward.aia`` and
     ``lattice_draws.py``."""
     stems = [Path(m).stem for m in models]
-    cmds = []
+    cmds = [["--help"], *([command, "-h"] for command in SUBCOMMANDS), [], ["frobnicate"]]
     for m, stem in zip(models, stems):
         cmds += [
             ["check", m],
@@ -147,7 +155,7 @@ def commands(models: list[str], demos: list[str]) -> list[list[str]]:
 
 def interpreter_args(cmd: list[str]) -> list[str]:
     """What ``python`` runs for a command: a script, or altia."""
-    return cmd if cmd[0].endswith(".py") else ["-m", "altia", *cmd]
+    return cmd if cmd and cmd[0].endswith(".py") else ["-m", "altia", *cmd]
 
 
 def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, str, str]]:
