@@ -7,41 +7,57 @@ so a configuration with an undeclared state is refused with
 :class:`~altia.errors.ModelError`.  A clause is the ``int`` with one bit
 per member, a configuration the frozenset of its clause masks, a *mask
 antichain* (see :mod:`altia.lattice`).  Only this module, the lattice and
-the parser read masks.  Other modules hand the kernel's objects back to
-it and test ``t is k.top`` and ``t is k.bottom``, two objects shared by
-every kernel: every step returns an object of the successor memo, and a
-top or bottom ``k.initial`` is that object too.  The memos:
+the parser read masks.
+
+The searches see a configuration as its *id*: the kernel numbers every
+configuration value it meets densely, in the order it meets them, with
+0 for top and 1 for bottom in every kernel (``k.top`` and ``k.bottom``),
+so an id above ``k.bottom`` is a nontrivial configuration.  Its
+successor under the label of index ``j`` of ``k.labels`` (the sorted
+inputs, then the sorted outputs) is ``k.step(e, j)``; ``k.row(e)`` is
+its row of successor ids by label index as far as it is filled, and
+``k.full_row(e)`` the row with every slot filled.  Other modules hand
+ids back to the kernel, test them against ``k.top`` and ``k.bottom``,
+and convert to ``Config`` only through ``encode`` and ``decode``.  The
+memos:
 
 - the target table: per label, each state's target by state bit,
   encoded when a step first needs it;
 - per label, each clause's image (the meet of its members' targets), if
-  of at most ``_IMAGE_MEMO_MAX_CLAUSES`` clauses;
-- the step memo, by ``(mask antichain, label)``.  ``det`` seeds its
-  automaton's (:meth:`_MaskKernel.seed`), so its size counts no steps;
-- the successor memo, seeded with top, bottom and ``initial``, which gives
-  every new successor the first object of its value: the rows of
-  :func:`~altia.search.reachable` hold its own keys, and every seen-set
-  and relabelling finds a successor by identity;
+  of at most ``_IMAGE_MEMO_MAX_CLAUSES`` clauses; a top or bottom image
+  is ``top_masks`` or ``bottom_masks`` itself;
+- ``ids``, mask antichain -> id, and ``objs``, id -> the first mask
+  antichain of its value, which the miss path steps;
+- ``rows``, id -> successor ids by label index, one list per id made
+  when the id is numbered, each slot filled by the first step that
+  misses it; the rows of top and bottom, which step to themselves, are
+  filled when the kernel is built.  ``det`` seeds its automaton's rows
+  (:meth:`_MaskKernel.seed`), so their filled slots count no steps;
 - the up-set memos of :class:`_UpSets`, in a kernel of at most
   ``_UP_MAX_STATES`` states;
-- the name memo, built from per-state quoted names and per-clause texts,
-  sorted by bit indices, which sort like the member names since bits
-  follow sorted-name order; ``det`` and ``build_tester`` share its strings;
+- the name memo by id, built from per-state quoted names and per-clause
+  texts, sorted by bit indices, which sort like the member names since
+  bits follow sorted-name order; ``det`` and ``build_tester`` share its
+  strings;
 - the boundary memo between mask antichains and ``Config``, keyed by
   value, which decodes each mask antichain once: a ``Config`` a public
-  step returned encodes back to the very mask antichain the searches
-  step, so their step-memo keys hit by identity.  Without it, the
-  benchmark's ``conjoin`` op_p50_ms went from 0.06 to 0.22 ms (2-core
-  Xeon host).
+  step returned encodes back to the very id the searches step.  Without
+  it, the benchmark's ``conjoin`` op_p50_ms went from 0.06 to 0.22 ms
+  (2-core Xeon host).
 
 A race between threads can at worst build a kernel or an entry twice, or
-keep two equal objects.  ``det`` seeds a kernel before it returns its
-automaton, so no other thread sees it unseeded.
+keep two equal objects; new values are numbered, and their rows made,
+under a lock, so no value gets two ids and a row list is never replaced
+once it can be read: a slot two threads step gets the same id from
+each.  Each search holds one kernel throughout, since ids of two
+kernels of one automaton differ.  ``det`` seeds a kernel before
+it returns its automaton, so no other thread sees it unseeded.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from _thread import allocate_lock
+from typing import Optional, Sequence
 
 from .errors import ModelError
 from .lattice import (
@@ -89,6 +105,10 @@ _UP_MAX_STATES = 12
 # the clause sets of top and bottom, the commonest targets, to their masks
 _TRIVIAL: dict[frozenset, _Masks] = {top().clauses: _TOP_MASKS, bot().clauses: frozenset()}
 
+# leq_aia packs a pair of ids into one int, e1 << _ID_BITS | e2; a kernel
+# numbers at most 2**_ID_BITS values (see _MaskKernel.intern)
+_ID_BITS = 32
+
 _UP_HAS: dict[int, tuple[tuple[int, int], ...]] = {}  # n -> ((NotHas_i, 2**i), ...)
 
 
@@ -108,8 +128,8 @@ def _up_tables(n: int) -> tuple[tuple[int, int], ...]:
 
 
 class _MaskKernel:
-    """One automaton's states as bits and the memos of its steps and
-    names; see the module docstring.
+    """One automaton's states as bits, its configurations as ids, and the
+    memos of its steps and names; see the module docstring.
 
     A kernel of at most ``_UP_MAX_STATES`` states joins three or more
     clause images on up-sets (:class:`_UpSets`) instead of absorbing the
@@ -119,29 +139,36 @@ class _MaskKernel:
     whose median operation steps cold 5-state views' two-clause
     configurations, read 0.099 ms against 0.064 ms with this gate
     (medians of 3 alternating pairs, 2-core Xeon host).  Either path's
-    successor goes through the successor memo.
+    successor is numbered by ``intern``.
     """
 
     __slots__ = (
-        "numbering", "rows", "targets", "images", "steps", "successors", "configs", "masks",
-        "initial", "names", "clause_texts", "quoted", "small", "up",
+        "numbering", "trans", "labels", "index", "targets", "images", "ids", "objs", "rows",
+        "lock", "configs", "masks", "initial", "names", "clause_texts", "quoted", "small", "up",
     )
-    top, bottom = _TRIVIAL.values()  # the same two objects in every kernel
+    top, bottom = 0, 1  # the ids of top and bottom in every kernel
+    top_masks, bottom_masks = _TRIVIAL.values()  # the same two objects in every kernel
 
     def __init__(self, s):
         states = sorted(s.states)
         self.numbering = _Numbering(states)
-        self.rows = [s.transitions[q] for q in states]  # by bit
+        self.trans = [s.transitions[q] for q in states]  # by bit
+        self.labels = (*sorted(s.inputs), *sorted(s.outputs))  # by label index
+        self.index = {l: j for j, l in enumerate(self.labels)}
         # per label, each state's target by bit, encoded when first needed
-        self.targets = {l: [None] * len(states) for l in s.labels}
-        self.images: dict[str, dict[int, _Masks]] = {l: {} for l in self.targets}
-        self.steps: dict[tuple[_Masks, str], _Masks] = {}
-        # a top or bottom initial configuration encodes to that object
-        self.configs: dict[_Masks, Config] = {self.top: top(), self.bottom: bot()}
-        self.masks: dict[Config, _Masks] = {top(): self.top, bot(): self.bottom}
+        self.targets = {l: [None] * len(states) for l in self.labels}
+        self.images: dict[str, dict[int, _Masks]] = {l: {} for l in self.labels}
+        # top and bottom are ids 0 and 1; intern numbers the others
+        self.ids: dict[_Masks, int] = {self.top_masks: 0, self.bottom_masks: 1}
+        self.objs: list[_Masks] = [self.top_masks, self.bottom_masks]
+        # top and bottom step to themselves; intern makes every other row
+        width = len(self.labels)
+        self.rows: list[list[Optional[int]]] = [[0] * width, [1] * width]
+        self.names: dict[int, str] = {}
+        self.lock = allocate_lock()
+        self.configs: dict[_Masks, Config] = {self.top_masks: top(), self.bottom_masks: bot()}
+        self.masks: dict[Config, _Masks] = {top(): self.top_masks, bot(): self.bottom_masks}
         self.initial = self.encode(s.initial)  # where every search starts
-        self.successors = {m: m for m in (self.top, self.bottom, self.initial)}
-        self.names: dict[_Masks, str] = {}
         # clause mask -> (its bit indices, its text)
         self.clause_texts: dict[int, tuple[tuple[int, ...], str]] = {}
         self.quoted: Optional[tuple[str, ...]] = None  # the states' quoted names, in bit order
@@ -150,8 +177,24 @@ class _MaskKernel:
         self.small = len(states) <= _UP_MAX_STATES
         self.up: Optional[_UpSets] = None
 
-    def encode(self, e: Config) -> _Masks:
-        """The mask antichain of a configuration over this automaton's states."""
+    def intern(self, m: _Masks) -> int:
+        """The id of the mask antichain ``m``; a new value gets the next id,
+        a row with no slot filled and ``m`` as the object the miss path
+        steps."""
+        i = self.ids.get(m)
+        if i is None:
+            with self.lock:
+                i = self.ids.get(m)
+                if i is None:
+                    i = len(self.objs)
+                    assert i >> _ID_BITS == 0, "too many configurations to pack a pair of ids"
+                    self.objs.append(m)
+                    self.rows.append([None] * len(self.labels))
+                    self.ids[m] = i
+        return i
+
+    def encode(self, e: Config) -> int:
+        """The id of a configuration over this automaton's states."""
         m = self.masks.get(e)
         if m is None:
             try:
@@ -160,34 +203,40 @@ class _MaskKernel:
                 raise ModelError(f"configuration uses undeclared state {missing}") from None
             self.masks[e] = m
             self.configs.setdefault(m, e)
-        return m
+        return self.intern(m)
 
-    def decode(self, m: _Masks) -> Config:
-        """The configuration of a mask antichain, one object per value."""
-        e = self.configs.get(m)
-        if e is None:
-            e = self.configs.setdefault(m, self.numbering.decode(m))
-            self.masks[e] = m
-        return e
+    def decode(self, e: int) -> Config:
+        """The configuration of id ``e``, one object per value."""
+        m = self.objs[e]
+        c = self.configs.get(m)
+        if c is None:
+            c = self.configs.setdefault(m, self.numbering.decode(m))
+            self.masks[c] = m
+        return c
 
-    def at_most_one_state(self, m: _Masks) -> bool:
-        """Whether ``m`` is top, bottom or a single state."""
+    def clauses(self, e: int) -> _Masks:
+        """The clause masks of id ``e``."""
+        return self.objs[e]
+
+    def at_most_one_state(self, e: int) -> bool:
+        """Whether id ``e`` is top, bottom or a single state."""
+        m = self.objs[e]
         return len(m) <= 1 and all(c & (c - 1) == 0 for c in m)
 
-    def name(self, m: _Masks) -> str:
-        """The expression string of the mask antichain ``m`` (see expr_str),
-        rendered once per kernel: every later call returns that object."""
-        name = self.names.get(m)
+    def name(self, e: int) -> str:
+        """The expression string of id ``e`` (see expr_str), rendered once
+        per kernel: every later call returns that object."""
+        name = self.names.get(e)
         if name is None:
             texts = self.clause_texts
             # bit-index tuples of distinct clauses differ: no text is compared
-            entries = sorted([texts.get(c) or self._clause_entry(c) for c in m])
-            name = self.names[m] = _write([text for _, text in entries])
+            entries = sorted([texts.get(c) or self._clause_entry(c) for c in self.objs[e]])
+            name = self.names[e] = _write([text for _, text in entries])
         return name
 
     def clause_name(self, c: int) -> str:
         """The expression string of the one-clause configuration ``c``."""
-        return self.name(frozenset((c,)))
+        return self.name(self.intern(frozenset((c,))))
 
     def _clause_entry(self, c: int) -> tuple[tuple[int, ...], str]:
         quoted = self.quoted
@@ -202,7 +251,7 @@ class _MaskKernel:
         ``label``, encoded on first use."""
         t = self.targets[label][i]
         if t is None:
-            clauses = self.rows[i][label].clauses
+            clauses = self.trans[i][label].clauses
             t = _TRIVIAL.get(clauses)
             if t is None:
                 t = self.numbering.encode(clauses)
@@ -211,60 +260,82 @@ class _MaskKernel:
 
     def image(self, c: int, label: str) -> _Masks:
         """The meet of the targets of clause ``c``'s members under ``label``;
-        a top or bottom image is ``top`` or ``bottom`` itself."""
+        a top or bottom image is ``top_masks`` or ``bottom_masks`` itself."""
         images = self.images[label]
         img = images.get(c)
         if img is None:
-            targets, img = self.targets[label], self.top
+            targets, img = self.targets[label], self.top_masks
             for i in self.numbering.indices(c):
                 t = targets[i]
                 if t is None:  # target()'s own test, without the call
                     t = self.target(label, i)
                 img = _mask_meet(img, t)
                 if not img:  # bottom absorbs the remaining members
-                    img = self.bottom
+                    img = self.bottom_masks
                     break
             if len(img) <= _IMAGE_MEMO_MAX_CLAUSES:
                 images[c] = img
         return img
 
-    def step(self, e: _Masks, label: str) -> _Masks:
-        """The successor of ``e`` under ``label``: the join of its clauses'
-        images; a one-clause configuration's image as it is, and three or
-        more clauses of a small kernel joined on up-sets."""
-        key = (e, label)
-        succ = self.steps.get(key)
-        if succ is None:
-            if len(e) > 2 and self.small:
-                up = self.up
-                if up is None:
-                    up = self.up = _UpSets(self)
-                succ = up.join(self, e, label)
-            else:
-                images = self.images[label]
-                joined: set[int] = set()
-                for c in e:
-                    img = images.get(c)  # image()'s own lookup, without the call
-                    if img is None:
-                        img = self.image(c, label)
-                    joined |= img
-                # one clause's image is an antichain already
-                succ = img if len(e) == 1 else _mask_antichain(joined)
-            succ = self.steps[key] = self.successors.setdefault(succ, succ)
-        return succ
+    def row(self, e: int) -> Sequence[Optional[int]]:
+        """The row of id ``e``: its successor ids by label index, ``None``
+        in a slot not stepped yet.  It is the kernel's own and may be filled
+        later: read it, never write it, and step a ``None`` slot with
+        :meth:`step`."""
+        return self.rows[e]
+
+    def full_row(self, e: int) -> Sequence[int]:
+        """The row of id ``e`` with every slot filled."""
+        r = self.rows[e]
+        if None in r:
+            for j, t in enumerate(r):
+                if t is None:
+                    self.step(e, j)
+        return r
+
+    def step(self, e: int, j: int) -> int:
+        """The id of the successor of id ``e`` under the label of index
+        ``j``, computed on the first call and then read from the row: the
+        join of its clauses' images; a one-clause configuration's image as
+        it is, and three or more clauses of a small kernel joined on
+        up-sets."""
+        t = self.rows[e][j]
+        if t is not None:
+            return t
+        m, label = self.objs[e], self.labels[j]
+        if len(m) > 2 and self.small:
+            up = self.up
+            if up is None:
+                up = self.up = _UpSets(self)
+            succ = up.join(self, m, label)
+        else:
+            images = self.images[label]
+            joined: set[int] = set()
+            for c in m:
+                img = images.get(c)  # image()'s own lookup, without the call
+                if img is None:
+                    img = self.image(c, label)
+                joined |= img
+            # one clause's image is an antichain already
+            succ = img if len(m) == 1 else _mask_antichain(joined)
+        t = self.ids.get(succ)  # intern()'s own lookup, without the call
+        if t is None:
+            t = self.intern(succ)
+        self.rows[e][j] = t
+        return t
 
     def seed(self, table: dict, states: dict) -> None:
-        """Fill the step memo from ``table``, the reachable table of another
-        kernel, whose configuration ``m`` is this kernel's state
-        ``states[m]``: each row becomes the steps of that state's one-state
-        mask antichain, an object of the successor memo.  Top and bottom
-        are the same objects in both kernels."""
+        """Fill the rows from ``table``, the reachable table of another
+        kernel with the same labels, whose id ``m`` is this kernel's state
+        ``states[m]``: each row becomes the row of that state's one-state
+        configuration.  Top and bottom have the same ids in both kernels."""
         to = {self.top: self.top, self.bottom: self.bottom}
-        bit, successors = self.numbering.bit, self.successors
+        bit, intern = self.numbering.bit, self.intern
         for m, q in states.items():
-            mask = frozenset((bit[q],))
-            to[m] = successors.setdefault(mask, mask)
-        self.steps.update({(to[m], l): to[t] for m, row in table.items() for l, t in row.items()})
+            to[m] = intern(frozenset((bit[q],)))
+        rows = self.rows
+        for m, row in table.items():
+            rows[to[m]] = [to[t] for t in row]
 
 
 class _UpSets:

@@ -9,9 +9,9 @@ refusing an input is expressed by the environment's failure observation,
 not by the model.
 
 Configurations are name-based :class:`~altia.lattice.Config` values at
-the public boundary only.  Inside, each automaton steps them through its
-mask kernel (see :mod:`altia._kernel`), and the searches test the
-kernel's top and bottom by identity.
+the public boundary only.  Inside, each automaton numbers them in its
+mask kernel (see :mod:`altia._kernel`), and the searches step and
+compare the kernel's int ids.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class AIA:
         if label_name not in self.inputs and label_name not in self.outputs:
             raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
         k = self._masks()
-        return k.decode(k.step(k.encode(e), label_name))
+        return k.decode(k.step(k.encode(e), k.index[label_name]))
 
     def __eq__(self, other):
         if not isinstance(other, AIA):
@@ -135,25 +135,25 @@ class AIA:
         return f"AIA({self.name!r}, {len(self.states)} states)"
 
 
-def _walk(s: AIA, m, trace):
-    """The kernel's configuration reached from ``m`` along a label sequence."""
-    step = s._masks().step
+def _walk(s: AIA, k, m: int, trace) -> int:
+    """The id of kernel ``k`` reached from id ``m`` along a label sequence."""
+    step, index = k.step, k.index
     for lab in trace:
         _check_label(s, lab)
-        m = step(m, lab.name)
+        m = step(m, index[lab.name])
     return m
 
 
 def after(s: AIA, e: Config, trace) -> Config:
     """The configuration reached from ``e`` along a label sequence."""
     k = s._masks()
-    return k.decode(_walk(s, k.encode(e), trace))
+    return k.decode(_walk(s, k, k.encode(e), trace))
 
 
 def after_trace(s: AIA, trace) -> Config:
     """``after`` from the initial configuration."""
     k = s._masks()
-    return k.decode(_walk(s, k.initial, trace))
+    return k.decode(_walk(s, k, k.initial, trace))
 
 
 def ftrace_member(s: AIA, ft: FTrace) -> bool:
@@ -166,10 +166,10 @@ def ftrace_member(s: AIA, ft: FTrace) -> bool:
     if ft.failure is not None and ft.failure not in s.inputs:
         raise AlphabetError(f"~{ft.failure} does not refuse an input of {s.name!r}")
     k = s._masks()
-    m = _walk(s, k.initial, ft.body)
+    m = _walk(s, k, k.initial, ft.body)
     if ft.failure is None:
-        return m is not k.bottom
-    return k.step(m, ft.failure) is k.top
+        return m != k.bottom
+    return k.step(m, k.index[ft.failure]) == k.top
 
 
 class TraceStatus(Enum):
@@ -296,14 +296,15 @@ def induce_ia(s: AIA) -> IA:
     The clauses are searched in the mask kernel, each stepped to its image.
     """
     k = s._masks()
-    search = Search(k.initial)
+    initial = k.clauses(k.initial)
+    search = Search(initial)
     trans: dict[str, dict[str, set[str]]] = {}
     labels = sorted(s.inputs) + sorted(s.outputs)
     for _, c in search:
         row: dict[str, set[str]] = {}
         for label in labels:
             succs = k.image(c, label)
-            if succs is k.bottom or succs is k.top and label in s.inputs:
+            if succs is k.bottom_masks or succs is k.top_masks and label in s.inputs:
                 continue
             row[label] = set(map(k.clause_name, succs))
             for d in succs:
@@ -314,6 +315,6 @@ def induce_ia(s: AIA) -> IA:
         s.inputs,
         s.outputs,
         trans,
-        set(map(k.clause_name, k.initial)),
+        set(map(k.clause_name, initial)),
         name=f"ia({s.name})",
     )

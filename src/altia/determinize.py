@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .aia import AIA
 from .lattice import bot, embed, top
-from .search import DEFAULT_CAP, _rows, reachable
+from .search import DEFAULT_CAP, _rows
 
 
 def check_deterministic(s: AIA, cap: int = DEFAULT_CAP) -> bool:
@@ -25,20 +25,17 @@ def check_deterministic(s: AIA, cap: int = DEFAULT_CAP) -> bool:
     """
     k = s._masks()
     one = k.at_most_one_state
-    return one(k.initial) and all(all(map(one, row.values())) for _, row in _rows(s, cap))
+    return one(k.initial) and all(all(map(one, row)) for _, row in _rows(k, cap))
 
 
-def _relabelled(s: AIA, table, wrap, top_target, bot_target):
-    """The names and targets of the configurations of ``table``, the
-    ``reachable`` table of ``s``.
+def _relabelled(k, table, wrap, top_target, bot_target):
+    """The names and targets of the configuration ids of ``table``, a
+    table of :func:`~altia.search._rows` over kernel ``k``.
 
     Each reachable configuration is named by the kernel's name memo, once
-    per automaton, and its target is ``wrap`` of its name; the kernel's
-    top and bottom target ``top_target`` and ``bot_target``.  Both dicts
-    are keyed by the table's own objects, which its rows hold, so a
-    lookup of a successor hits by identity.
+    per automaton, and its target is ``wrap`` of its name; top and bottom
+    target ``top_target`` and ``bot_target``.  Both dicts are keyed by id.
     """
-    k = s._masks()
     names = {m: k.name(m) for m in table}
     target = {m: wrap(name) for m, name in names.items()}
     target[k.top] = top_target
@@ -56,14 +53,15 @@ def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
     deterministic and has the same input-failure traces as ``s``.
 
     The result is valid by construction and built without the
-    constructor's checks.  It arrives with its kernel's step memo seeded
-    from the same table (see ``_MaskKernel.seed``), so searches over it
+    constructor's checks.  It arrives with its kernel's rows seeded from
+    the same table (see ``_MaskKernel.seed``), so searches over it
     compute no step of a state again.  It holds no reference to ``s``.
     """
-    table = reachable(s, cap)
-    names, target = _relabelled(s, table, embed, top(), bot())
-    trans = {names[m]: {l: target[t] for l, t in row.items()} for m, row in table.items()}
     k = s._masks()
+    table = dict(_rows(k, cap))
+    names, target = _relabelled(k, table, embed, top(), bot())
+    labels = k.labels
+    trans = {names[m]: {l: target[t] for l, t in zip(labels, row)} for m, row in table.items()}
     d = AIA._valid(trans, s.inputs, s.outputs, trans, target[k.initial], f"det({s.name})")
     d._masks().seed(table, names)
     return d

@@ -12,19 +12,18 @@ first pushed, so the first node found with some property is one of the
 fewest steps from a start, and :meth:`Search.path` rebuilds such a
 shortest label sequence.
 
-Configurations are searched as the objects of the automaton's mask
-kernel (see :mod:`altia._kernel`): :func:`_rows` starts from the kernel's
-initial configuration, steps through the kernel and tests top and bottom
-by identity.  Its rows hold the table's own key objects, since the
-kernel keeps one object per successor value, so the seen-set and every
-dict keyed by the table find a successor by identity.  Its callers name,
-relabel or test them through the kernel; none decodes them.
-``refine.leq_aia`` searches pairs of them the same way.
+Configurations are searched as the ids of the automaton's mask kernel
+(see :mod:`altia._kernel`): dense ints, 0 for top and 1 for bottom.
+:func:`_rows` starts from the kernel's initial id and reads each id's
+row of successor ids, which the kernel fills on a miss, so a search over
+an automaton already explored pushes ints and computes nothing.  Its
+callers name, relabel or test ids through the kernel; none decodes them.
+``refine.leq_aia`` searches pairs of ids packed into one int.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ExplorationLimitError
 
@@ -77,30 +76,25 @@ class Search:
         return tuple(reversed(out))
 
 
-def _rows(s, cap: int = DEFAULT_CAP) -> Iterator[tuple[Hashable, dict[str, Hashable]]]:
-    """The determinization table of ``s``, row by row as it is reached.
+def _rows(k, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, Sequence[int]]]:
+    """The determinization table of the automaton of kernel ``k``, row by
+    row as it is reached.
 
-    Each nontrivial (neither top nor bottom) configuration reachable from
-    the initial one, with its successor per label, in breadth-first
-    discovery order, as objects of ``s``'s kernel; nothing when the
-    initial configuration is top or bottom.  Visiting more than ``cap``
-    configurations raises :class:`ExplorationLimitError`.
+    Each nontrivial (neither top nor bottom) configuration id reachable
+    from the initial one, with its successor ids by label index (the
+    order of ``k.labels``), in breadth-first discovery order; nothing when
+    the initial configuration is top or bottom.  Each row is the kernel's
+    own list.  Visiting more than ``cap`` configurations raises
+    :class:`ExplorationLimitError`.
     """
-    k = s._masks()
-    top, bottom = k.top, k.bottom
-    if k.initial is top or k.initial is bottom:
+    if k.initial <= k.bottom:
         return
-    labels = sorted(s.inputs) + sorted(s.outputs)
-    step = k.step
+    full_row, bottom = k.full_row, k.bottom
     search = Search([k.initial], cap)
+    push = search.push
     for _, e in search:
-        row = {label: step(e, label) for label in labels}
-        for t in row.values():
-            if t is not top and t is not bottom:
-                search.push(t)
-        yield e, row
-
-
-def reachable(s, cap: int = DEFAULT_CAP) -> dict[Hashable, dict[str, Hashable]]:
-    """The determinization table of ``s``: every row of :func:`_rows`."""
-    return dict(_rows(s, cap))
+        r = full_row(e)
+        for t in r:
+            if t > bottom:  # neither top nor bottom
+                push(t)
+        yield e, r

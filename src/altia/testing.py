@@ -31,7 +31,7 @@ from .errors import AlphabetError, ModelError
 from .ia import IA, FTrace, Label, inp
 from .lattice import Config, Kind, bot, classify, embed, top
 from .rng import SplitMix64
-from .search import DEFAULT_CAP, Search, reachable
+from .search import DEFAULT_CAP, Search, _rows
 
 PASS = "pass"
 FAIL = "fail"
@@ -165,23 +165,25 @@ def build_tester(s: AIA, cap: int = DEFAULT_CAP) -> Tester:
     # the successor, a constrained stimulus also gets its refusal to fail.
     # No configuration is named 'pass' (checked above), so PASS marks top.
     # Rows are built as IA() would store them: frozensets, no empty row.
-    table = reachable(s, cap)
-    names, target = _relabelled(s, table, lambda q: frozenset((q,)), _PASS, _FAIL)
+    k = s._masks()
+    table = dict(_rows(k, cap))
+    names, target = _relabelled(k, table, lambda q: frozenset((q,)), _PASS, _FAIL)
     trans: dict[str, dict[str, frozenset[str]]] = {}
     if s.outputs:
         trans[PASS] = dict.fromkeys(s.outputs, _PASS)
         trans[FAIL] = dict.fromkeys(s.outputs, _FAIL)
+    index = k.index
     for m, succ in table.items():
-        row = {x: target[succ[x]] for x in s.outputs}
+        row = {x: target[succ[index[x]]] for x in s.outputs}
         for a in s.inputs:
-            t = target[succ[a]]
+            t = target[succ[index[a]]]
             if t is not _PASS:  # an underspecified (top) input is not tested
                 row[a] = t
                 row[refusal(a)] = _FAIL
         if row:
             trans[names[m]] = row
     states = frozenset((PASS, FAIL, *names.values()))
-    initial = target[s._masks().initial]
+    initial = target[k.initial]
     return Tester._valid(
         IA._valid(states, s.outputs, t_outputs, trans, initial, f"tester({s.name})")
     )
@@ -326,9 +328,9 @@ def gen_singular(s: AIA, seed: int, max_depth: int, p_stop: float) -> AIA:
         return aia_top(s.inputs, s.outputs, name=f"singular({s.name})")
     if s.initial.is_bot:
         return aia_bot(s.inputs, s.outputs, name=f"singular({s.name})")
-    # The tree walks the kernel's configurations.
+    # The tree walks the kernel's configuration ids.
     k = s._masks()
-    step = k.step
+    step, index, top_id, bottom_id = k.step, k.index, k.top, k.bottom
     rng = SplitMix64(seed)
     inputs = sorted(s.inputs)
     outputs = sorted(s.outputs)
@@ -341,19 +343,19 @@ def gen_singular(s: AIA, seed: int, max_depth: int, p_stop: float) -> AIA:
         can_extend = depth + 1 < max_depth
         row: dict[str, Config] = {}
         children = []
-        candidates = [a for a in inputs if step(e, a) is not k.top]
+        candidates = [a for a in inputs if step(e, index[a]) != top_id]
         if candidates and can_extend:
             pick = rng.below(len(candidates) + 1)
             if pick > 0:
                 a = candidates[pick - 1]
                 child = trace + (inp(a),)
                 row[a] = embed(_node_name(child))
-                children.append((child, step(e, a)))
+                children.append((child, step(e, index[a])))
         for x in outputs:
-            nxt = step(e, x)
-            if nxt is k.bottom:
+            nxt = step(e, index[x])
+            if nxt == bottom_id:
                 continue
-            if nxt is k.top or not can_extend or rng.random() < p_stop:
+            if nxt == top_id or not can_extend or rng.random() < p_stop:
                 row[x] = top()
             else:
                 child = trace + (Label(x, False),)
@@ -434,7 +436,7 @@ def is_singular_for(s2: AIA, s1: AIA) -> bool:
         return False
     if s1.initial.is_top:
         return False
-    # s1 is walked on its kernel's configurations.
+    # s1 is walked on its kernel's configuration ids.
     k1 = s1._masks()
     root = s2.initial.single_state
     seen = {root}
@@ -449,14 +451,14 @@ def is_singular_for(s2: AIA, s1: AIA) -> bool:
                 constrained_inputs += 1
             if kind is Kind.TOP:
                 continue
-            here = k1.step(e1, label)
+            here = k1.step(e1, k1.index[label])
             if kind is Kind.BOT:
-                if here is not k1.bottom:
+                if here != k1.bottom:
                     return False
                 continue
             if kind is Kind.COMPOUND:
                 return False
-            if here is k1.top:
+            if here == k1.top:
                 return False
             child = cfg.single_state
             if child in seen:  # shared or looping target: not a tree

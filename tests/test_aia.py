@@ -22,7 +22,7 @@ from altia.aia import ftrace_member, rename_states
 from altia.lattice import Config, bot, embed, join, join_all, meet, meet_all, substitute, top
 from altia.io import parse_trace
 from altia.rng import SplitMix64
-from altia.search import reachable
+from altia.search import _rows
 
 from oracles import (
     aia_member,
@@ -255,7 +255,7 @@ def test_mask_names_render_wide_configurations():
             m = k.encode(e)
             name = k.name(m)
             assert name == expr_str(e) == expr_str(k.decode(m))
-            assert k.name(m) is name and k.name(frozenset(set(m))) is name
+            assert k.name(m) is name and k.name(k.intern(frozenset(set(k.objs[m])))) is name
             assert parse_expr(expr_str(e)) == e
         assert wide >= 120  # 135 and 136 of the 300 on these seeds
         if names == PREFIXED:
@@ -394,7 +394,7 @@ def test_step_is_substitution_semantically():
     stepping = wide = 0
     for s in specs:
         states = sorted(s.states)
-        table = reachable(s)
+        table = dict(_rows(s._masks()))
         stepping += bool(table)
         reached = [*map(s._masks().decode, table), top(), bot()]
         unreached = [rand_expr(rng, states) for _ in range(100)] if states else []
@@ -415,8 +415,8 @@ def test_step_is_substitution_semantically():
 
 def test_step_returns_one_object_per_successor():
     # Equal successors reached apart are one object per automaton, and each
-    # encodes back to the mask antichain the searches step, so step-memo
-    # keys hit by identity (see the AIA docstring for what that saves).
+    # encodes back to the id the searches step, through the kernel's
+    # boundary memo (see the _kernel docstring for what that saves).
     p_row = {"x": join(embed("q"), embed("r")), "y": join(embed("r"), embed("q"))}
     s = AIA({"p", "q", "r"}, set(), {"x", "y"}, {"p": p_row, "q": {"x": embed("p")}}, embed("p"))
     e = s.step(s.initial, "x")
@@ -424,7 +424,7 @@ def test_step_returns_one_object_per_successor():
     assert s.step(e, "x") is s.initial  # q|r --x--> p|F, built afresh
     stepping = 0
     for s in rand_aia_stepping(SplitMix64(71), 20, n_states=5):
-        table = reachable(s)
+        table = dict(_rows(s._masks()))
         stepping += bool(table)
         one: dict = {}
         for e in map(s._masks().decode, table):
@@ -435,13 +435,13 @@ def test_step_returns_one_object_per_successor():
 
 
 def test_reachable_rows_hold_the_table_keys():
-    # The kernel keeps one object per successor value, so every nontrivial
-    # successor in reachable's rows is the table's own key object and the
-    # searches and relabellings find it by identity; the step memo holds
-    # one object per value, top and bottom among them.  det's automaton,
-    # whose step memo is seeded, keeps both.  The specs' kernels are small
+    # The kernel numbers each configuration value once, so every nontrivial
+    # successor id in the rows of search._rows is a key of the table, the
+    # searches and relabellings find it by its id, and no two ids of a
+    # kernel hold equal values, top (0) and bottom (1) among them.  det's
+    # automaton, whose rows are seeded, keeps both.  The specs' kernels are small
     # enough to join three or more clause images on up-sets, and those
-    # joins' successors are key objects too.
+    # joins' successors are numbered the same way.
     from altia import det
     from altia._kernel import _UP_MAX_STATES
 
@@ -451,22 +451,24 @@ def test_reachable_rows_hold_the_table_keys():
     for s in specs:
         assert s._masks().small
         for a in (s, det(s)):
-            table = reachable(a)
-            keys = {m: m for m in table}
+            k = a._masks()
+            table = dict(_rows(k))
             for m, row in table.items():
-                for t in row.values():
-                    if t and 0 not in t:
-                        assert t is keys[t]
+                for t in row:
+                    if t > k.bottom:
+                        assert t in table
                         entries += 1
-                        wide += len(m) >= 3
-            one: dict = {}
-            for t in a._masks().steps.values():
-                assert one.setdefault(t, t) is t
+                        wide += len(k.objs[m]) >= 3
+                    else:
+                        assert k.objs[t] == (k.top_masks if t == k.top else k.bottom_masks)
+            assert len(k.ids) == len(k.objs) == len(k.rows)
+            assert all(k.ids[m] == i for i, m in enumerate(k.objs))
+            assert len(set(k.objs)) == len(k.objs)
     assert entries >= 6000 and wide >= 2000  # 8,258 and 2,522 on these seeds
     # a public step of a compound configuration built apart gives the same
     # Config object every time, also for an equal one built apart again
     s = specs[0]
-    apart = [Config(e.clauses) for e in map(s._masks().decode, reachable(s))]
+    apart = [Config(e.clauses) for e in map(s._masks().decode, dict(_rows(s._masks())))]
     compound = [e for e in apart if len(e.clauses) >= 3]
     assert compound
     for e in compound:
@@ -475,10 +477,11 @@ def test_reachable_rows_hold_the_table_keys():
 
 
 def test_kernel_top_and_bottom_are_one_object_each():
-    # The searches test top and bottom by identity: every step result equal
-    # to the top or bottom mask antichain is the kernel's own top or bottom
-    # object, and so is a top or bottom initial configuration, also one
-    # built apart.  Clause images, which induce_ia tests, keep them too.
+    # The searches test top and bottom by id: every step result equal to
+    # the top or bottom mask antichain is id 0 or 1, whose objects are the
+    # top and bottom objects every kernel shares, and so is a top or bottom
+    # initial configuration, also one built apart.  Clause images, which
+    # induce_ia tests by identity, are those two objects too.
     # Specs start at top, bottom and compound configurations, have kernels
     # on both sides of _UP_MAX_STATES, and include det's seeded kernels and
     # conj-built automata.
@@ -506,35 +509,173 @@ def test_kernel_top_and_bottom_are_one_object_each():
             "large": 0, "seeded": 0}
     for a in specs:
         k = a._masks()
-        assert (k.initial is k.top) == a.initial.is_top
-        assert (k.initial is k.bottom) == a.initial.is_bot
+        assert (k.top, k.bottom) == (0, 1)
+        assert k.objs[0] is _TOP_MASKS and k.objs[1] is k.bottom_masks == frozenset()
+        assert k.top_masks is _TOP_MASKS
+        assert (k.initial == 0) == a.initial.is_top
+        assert (k.initial == 1) == a.initial.is_bot
+        assert k.encode(Config([()])) == 0 and k.encode(Config([])) == 1
         seen["top initial"] += a.initial.is_top
         seen["bottom initial"] += a.initial.is_bot
         seen["compound"] += len(a.initial.clauses) > 1
-        seeded = bool(k.steps)
-        labels = sorted(a.labels)
-        search = Search([k.initial, k.top, k.bottom])
+        seeded = any(t is not None for row in k.rows[2:] for t in row)
+        search = Search([k.initial, 0, 1])
         for i, m in search:
             if i == 150:
                 break
-            for l in labels:
-                t = k.step(m, l)
-                assert (t is k.top) == (t == _TOP_MASKS)
-                assert (t is k.bottom) == (t == frozenset())
-                seen["top"] += t is k.top
-                seen["bottom"] += t is k.bottom
+            for j, l in enumerate(k.labels):
+                t = k.step(m, j)
+                assert (t == 0) == (k.objs[t] == _TOP_MASKS)
+                assert (t == 1) == (k.objs[t] == frozenset())
+                seen["top"] += t == 0
+                seen["bottom"] += t == 1
                 seen["large"] += not k.small
                 seen["seeded"] += seeded
                 search.push(t)
-                for c in m:
+                for c in k.objs[m]:
                     img = k.image(c, l)
-                    assert (img is k.top) == (img == _TOP_MASKS)
-                    assert (img is k.bottom) == (img == frozenset())
+                    assert (img is k.top_masks) == (img == _TOP_MASKS)
+                    assert (img is k.bottom_masks) == (img == frozenset())
     # 1,982 tops, 727 bottoms, 31 and 31 trivial and 18 compound initial
     # configurations, 7,252 steps of large kernels, 2,640 of seeded ones
     assert seen["top"] >= 1500 and seen["bottom"] >= 500, seen
     assert min(seen["top initial"], seen["bottom initial"], seen["compound"]) >= 15, seen
     assert seen["large"] >= 5000 and seen["seeded"] >= 2000, seen
+
+
+def test_kernel_numbers_values_within_the_packing_bound(monkeypatch):
+    # leq_aia packs a pair of ids as e1 << _ID_BITS | e2, so a kernel may
+    # number at most 2**_ID_BITS values and refuses the next one.  With the
+    # bound lowered to 8 ids, a spec of more reachable configurations stops
+    # at its ninth value, and a smaller one is searched as before.
+    from altia import _kernel
+
+    specs = rand_aia_stepping(SplitMix64(173), 20, n_states=5)
+    sizes = [len(dict(_rows(s._masks()))) for s in specs]
+    monkeypatch.setattr(_kernel, "_ID_BITS", 3)
+    refused = 0
+    for s, size in zip(specs, sizes):
+        cold = AIA(s.states, s.inputs, s.outputs, s.transitions, s.initial)
+        # a search from a cold kernel numbers top, bottom and the table's
+        # configurations, nothing else
+        if size + 2 > 8:
+            with pytest.raises(AssertionError, match="pack"):
+                dict(_rows(cold._masks()))
+            refused += 1
+        else:
+            assert len(dict(_rows(cold._masks()))) == size
+    assert refused >= 10 and refused < len(specs), sizes
+
+
+def test_threads_number_each_value_once():
+    # Threads that share a kernel number the values they meet under its
+    # lock.  With a switch interval of a microsecond, six threads that
+    # intern the same 1,000 new values in the same order leave one id per
+    # value in each of 40 kernels (without the lock about half the kernels
+    # got a value twice), and six threads of det, build_tester, leq_aia and
+    # search._rows over one automaton give the sequential det.
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from altia import build_tester, det, leq_aia
+
+    def one_id_per_value(k):
+        return len(k.ids) == len(k.objs) == len(set(k.objs)) == len(k.rows) and all(
+            k.ids[m] == i for i, m in enumerate(k.objs))
+
+    def table(a):
+        return dict(_rows(a._masks()))
+
+    values = [frozenset((c,)) for c in range(1 << 5, (1 << 5) + 1000)]
+    specs = rand_aia_stepping(SplitMix64(174), 8, n_states=7)
+    expected = [det(s) for s in specs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            k = AIA(["p"], (), ("x",), {}, embed("p"))._masks()
+            gate = threading.Barrier(6)
+
+            def intern_all(k=k, gate=gate):
+                gate.wait(timeout=60)
+                for m in values:
+                    k.intern(m)
+
+            threads = [threading.Thread(target=intern_all) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert one_id_per_value(k) and len(k.objs) == 3 + len(values)
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            for s, want in zip(specs, expected):
+                shared = AIA(s.states, s.inputs, s.outputs, s.transitions, s.initial, s.name)
+                k = shared._masks()  # built once, before the threads start
+                jobs = [det, build_tester, lambda a: leq_aia(a, a), table] * 3
+                results = [f.result(timeout=60) for f in [pool.submit(j, shared) for j in jobs]]
+                assert one_id_per_value(k)
+                assert all(d == want and d.name == want.name for d in results[::4])
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_threads_fill_the_rows_of_fresh_ids():
+    # Each id's row is one list, made when the id is numbered and never
+    # replaced, so a slot one thread fills is never lost to another thread
+    # that read the row earlier, and every row full_row returns has each
+    # slot filled.  The row read of a fresh id is the list its steps fill.
+    # With a switch interval of a microsecond, three threads walk the table
+    # through full_row (search._rows) and three step each reached id label
+    # by label, last label first, on cold kernels; every row they read and
+    # the kernel's rows at the end hold the sequential table's values.
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    def fresh(s):
+        return AIA(s.states, s.inputs, s.outputs, s.transitions, s.initial)._masks()
+
+    def values(k, rows):
+        return {k.objs[e]: tuple(k.objs[t] for t in r) for e, r in rows}
+
+    def walk_rows(k, gate):
+        gate.wait(timeout=60)
+        rows = [(e, tuple(r)) for e, r in _rows(k)]
+        assert all(None not in r for _, r in rows)
+        return values(k, rows)
+
+    def walk_steps(k, gate):
+        gate.wait(timeout=60)
+        reached, order = {k.initial}, [k.initial]
+        for e in order:
+            for j in reversed(range(len(k.labels))):
+                t = k.step(e, j)
+                if t > k.bottom and t not in reached:
+                    reached.add(t)
+                    order.append(t)
+        return values(k, [(e, k.full_row(e)) for e in order])
+
+    specs = rand_aia_stepping(SplitMix64(175), 4, n_states=7)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            for s in specs:
+                ref = fresh(s)
+                want = values(ref, _rows(ref))
+                k = fresh(s)
+                read = {e: k.row(e) for e in map(k.intern, want)}
+                assert all(k.full_row(e) is r and k.row(e) is r for e, r in read.items())
+                assert values(k, read.items()) == want
+                for _ in range(5):
+                    k, gate = fresh(s), threading.Barrier(6)
+                    jobs = [pool.submit(w, k, gate) for w in (walk_rows, walk_steps) * 3]
+                    assert all(f.result(timeout=60) == want for f in jobs)
+                    assert values(k, ((k.ids[m], k.rows[k.ids[m]]) for m in want)) == want
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_step_is_substitution_on_larger_specs():
@@ -548,7 +689,7 @@ def test_step_is_substitution_on_larger_specs():
     stepping = 0
     for s in rand_aia_stepping(rng, 16, n_states=10):
         states = sorted(s.states)
-        table = reachable(s)
+        table = dict(_rows(s._masks()))
         stepping += bool(table)
         reached = [*map(s._masks().decode, table), top(), bot()]
         unreached = [e for e in (rand_expr(rng, states) for _ in range(40)) if e not in reached]
@@ -581,23 +722,23 @@ def test_up_set_joins_agree_with_absorption():
             drawn += 1
             k = s._masks()
             assert k.small == (n <= _UP_MAX_STATES)
-            labels = sorted(s.labels)
             search, configs = Search([k.initial]), []
-            for i, m in search:
+            for i, e in search:
                 if i == 150:
                     break
-                configs.append(m)
-                for l in labels:
-                    t = k.step(m, l)
-                    if t and 0 not in t:
+                configs.append(e)
+                for j in range(len(k.labels)):
+                    t = k.step(e, j)
+                    if t > 1:
                         search.push(t)
             states = sorted(s.states)
             configs += [k.encode(rand_wide_config(rng, states)) for _ in range(40)]
-            for m in configs:
-                for l in labels:
+            for e in configs:
+                m = k.objs[e]
+                for j, l in enumerate(k.labels):
                     images = [k.image(c, l) for c in m]
                     expected = _mask_antichain(set().union(*images))
-                    assert k.step(m, l) == expected
+                    assert k.objs[k.step(e, j)] == expected
                     if len(m) >= 3 and k.small:
                         targets = [s.transitions[q][l] for c in m for q in k.numbering.clause(c)]
                         up["steps"] += 1
@@ -634,7 +775,7 @@ def test_mask_antichain_matches_brute_force():
     for v in views[1:]:
         s = conj(s, v)
     k = s._masks()
-    succ = k.step(k.encode(s.initial), "x")
+    succ = k.objs[k.step(k.encode(s.initial), k.index["x"])]
     picks = product(*((f"a{i}", f"b{i}") for i in range(10)))
     bit = k.numbering.bit
     raw = {sum(bit[q] for q in pick) for pick in picks}

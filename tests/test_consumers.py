@@ -104,10 +104,12 @@ def test_only_the_kernel_reads_masks():
     # One module owns the mask representation of configurations.  Only the
     # kernel, the lattice that defines the mask functions and the parser
     # that folds them use the mask names, and no other module reaches into
-    # the kernel's memos or numbering: every search hands the kernel's
-    # objects back to it and tests top and bottom by identity.
+    # the kernel's memos or numbering: every search hands the kernel's ids
+    # back to it, reads rows only through its methods and tests top and
+    # bottom by id.
     mask_names = {"_TOP_MASKS", "_Masks", "_mask_meet", "_mask_antichain", "_Numbering"}
-    kernel_attrs = {"steps", "successors", "numbering", "images", "configs", "masks"}
+    kernel_attrs = {"steps", "successors", "numbering", "images", "configs", "masks",
+                    "ids", "objs", "rows"}
     users: dict[str, set] = {}
     readers: dict[str, set] = {}
     for path in sorted((ROOT / "src" / "altia").glob("*.py")):

@@ -10,14 +10,22 @@ from altia import (
     induce_ia,
     leq_aia,
 )
+from altia.aia import ftrace_member
 from altia.determinize import DEFAULT_CAP
 from altia.errors import ExplorationLimitError
 from altia.io import parse_trace
 from altia.lattice import Kind, bot, classify, embed, expr_str, top
 from altia.rng import SplitMix64
-from altia.search import reachable
+from altia.search import _rows
 
-from oracles import aia_member_set, rand_aia, rand_aia_stepping, rand_trace, universe
+from oracles import (
+    aia_member_set,
+    rand_aia,
+    rand_aia_stepping,
+    rand_trace,
+    rand_wide_config,
+    universe,
+)
 
 
 def cfg_after(s, text):
@@ -96,7 +104,7 @@ def test_det_random_properties():
         d = det(s)
         assert check_deterministic(d)
         assert aia_member_set(d, words) == aia_member_set(s, words)
-    # check_deterministic reads reachable's rows as the search reaches
+    # check_deterministic reads search._rows's rows as the search reaches
     # them.  Without a cap it agrees with "the initial configuration and
     # every configuration of the whole table are top, bottom or one state";
     # under a cap it raises exactly when the rows up to the first compound
@@ -108,9 +116,9 @@ def test_det_random_properties():
         for _ in range(30):
             spec = rand_aia(rng, n_states=n)
             for s in (spec, det(spec)):
-                table = reachable(s)
+                table = dict(_rows(s._masks()))
                 reached = [s.initial, *map(s._masks().decode, table)]
-                reached += [s._masks().decode(t) for row in table.values() for t in row.values()]
+                reached += [s._masks().decode(t) for row in table.values() for t in row]
                 simple = all(classify(e) is not Kind.COMPOUND for e in reached)
                 visits = 0 if classify(s.initial) is Kind.COMPOUND else _check_visits(s)
                 for cap in (None, 3, 20):
@@ -149,10 +157,18 @@ def _cold_copy(d):
     return AIA(d.states, d.inputs, d.outputs, d.transitions, d.initial, name=d.name)
 
 
+def _filled(k):
+    # the row slots of kernel k that hold a successor id, past the rows of
+    # top and bottom, which every kernel fills when it is built
+    assert k.rows[0] == [0] * len(k.labels) and k.rows[1] == [1] * len(k.labels)
+    return sum(t is not None for row in k.rows[2:] for t in row)
+
+
 def test_det_kernel_is_seeded_exactly(models_dir):
-    # det's automaton arrives with its step memo filled from the det table;
-    # each seeded step, the public step and both refinement searches agree
-    # with a validated copy whose kernel starts cold.
+    # det's automaton arrives with one filled row slot per state and label,
+    # from the det table, and a validated copy's kernel with none until it
+    # is stepped; each seeded slot, the public step and both refinement
+    # searches agree with that cold copy.
     from altia.io import load_model
 
     rng = SplitMix64(47)
@@ -160,15 +176,29 @@ def test_det_kernel_is_seeded_exactly(models_dir):
     specs += [rand_aia(rng, n_states=6) for _ in range(30)]  # 12 start at top or bottom
     specs += [load_model(p) for p in sorted(models_dir.glob("*.aia"))]
     seeded = refuted = 0
-    for s in specs:
+    warm = SplitMix64(48)
+    for n, s in enumerate(specs):
+        if n % 2 and s.states:  # s's kernel numbers other values before det
+            for _ in range(10):
+                e = rand_wide_config(warm, sorted(s.states))
+                for label in sorted(s.labels):
+                    s.step(e, label)
         d = det(s)
         c = _cold_copy(d)
         assert d == c and d.name == c.name
         k, kc = d._masks(), c._masks()
-        assert not kc.steps and len(k.steps) == len(d.states) * len(d.labels)
-        seeded += len(k.steps)
-        for (m, label), t in list(k.steps.items()):
-            assert kc.step(m, label) == t
+        assert _filled(kc) == 0 and _filled(k) == len(d.states) * len(d.labels)
+        seeded += _filled(k)
+        # the searches and membership queries over d read its seeded rows and
+        # compute no step
+        assert check_deterministic(d) and build_tester(d) and leq_aia(d, d)
+        members = [ftrace_member(d, w) for w in universe(d.inputs, d.outputs, 2)]
+        assert members == [ftrace_member(c, w) for w in universe(c.inputs, c.outputs, 2)]
+        assert not any(k.images.values()) and k.up is None
+        for e, row in enumerate(list(k.rows)):
+            for j, t in enumerate(row):
+                if t is not None:
+                    assert kc.objs[kc.step(kc.intern(k.objs[e]), j)] == k.objs[t]
         for q in d.states:
             for label in d.labels:
                 assert d.step(embed(q), label) == c.step(embed(q), label)
@@ -192,7 +222,7 @@ def test_det_kernel_is_seeded_exactly(models_dir):
         s = AIA(("q",), ("a",), ("x",), {"q": {"x": embed("q")}}, initial)
         d = det(s)
         assert d == _cold_copy(d) and not d.states and d.initial == initial
-        assert not d._masks().steps and leq_aia(s, d) and leq_aia(d, s)
+        assert not _filled(d._masks()) and leq_aia(s, d) and leq_aia(d, s)
 
 
 def test_state_names_resembling_expressions_stay_distinct():
@@ -225,20 +255,21 @@ def test_state_names_resembling_expressions_stay_distinct():
 
 
 def _check_visits(s):
-    # check_deterministic steps the configurations of reachable's table in
+    # check_deterministic steps the configurations of search._rows's table in
     # its order up to the first whose row holds a compound configuration
-    table = reachable(s)
+    decode = s._masks().decode
+    table = dict(_rows(s._masks()))
     for i, row in enumerate(table.values()):
-        if any(len(t) > 1 or any(c & (c - 1) for c in t) for t in row.values()):
+        if any(classify(decode(t)) is Kind.COMPOUND for t in row):
             return i + 1
     return len(table)
 
 
 # Each capped search with the number of nodes it visits on a spec.
 CAPPED = {
-    "det": (det, lambda s: len(reachable(s))),
+    "det": (det, lambda s: len(dict(_rows(s._masks())))),
     "check_deterministic": (check_deterministic, _check_visits),
-    "build_tester": (build_tester, lambda s: len(reachable(s))),
+    "build_tester": (build_tester, lambda s: len(dict(_rows(s._masks())))),
     "leq_aia": (lambda s, cap: leq_aia(s, s, cap), lambda s: leq_aia(s, s).pairs_explored),
 }
 
@@ -252,7 +283,7 @@ def test_exploration_cap(search, machine):
     counts = []
     for s in (rand_aia(SplitMix64(43), n_states=5), machine, det(machine)):
         n = visited(s)
-        counts.append((n, len(reachable(s))))
+        counts.append((n, len(dict(_rows(s._masks())))))
         for cap in {0, n - 1}:
             with pytest.raises(ExplorationLimitError):
                 run(s, cap)
@@ -266,7 +297,7 @@ def test_exploration_cap(search, machine):
 def test_tester_relabels_det_table():
     stepping = 0
     for s in rand_aia_stepping(SplitMix64(44), 20, n_states=4):
-        table = reachable(s)
+        table = dict(_rows(s._masks()))
         stepping += bool(table)
         names = {expr_str(e) for e in map(s._masks().decode, table)}
         assert build_tester(s).ia.states == names | {"pass", "fail"}

@@ -189,8 +189,9 @@ def test_leq_ia_works_through_the_alternating_view(milkdrinks, tea):
 
 def test_concurrent_checks_on_shared_models():
     # values are immutable and operations pure: parallel checks on the
-    # same automata give the sequential answers (each automaton's step memo
-    # is a cache, races only ever rebuild an equal value)
+    # same automata give the sequential answers (each automaton's kernel
+    # is a cache, races only ever rebuild an equal value, and a value is
+    # numbered once)
     from concurrent.futures import ThreadPoolExecutor
 
     rng = SplitMix64(58)
@@ -213,3 +214,122 @@ def test_ia_right_side_counterexample_respects_closure():
             assert ia_member_impl(i1, r.counterexample)
             assert not fcl_member(i2, r.counterexample)
     assert fails
+
+
+def _leq_by_configs(s1, s2):
+    # leq_aia's breadth-first search written over the public Config values
+    # of AIA.step, with pairs of Configs as nodes: no kernel ids, no packing
+    from altia import Label, RefinementResult
+
+    labels = [Label(a, True) for a in sorted(s1.inputs)] + [
+        Label(x, False) for x in sorted(s1.outputs)
+    ]
+    if s1.initial.is_bot:
+        return RefinementResult(True)
+    if s2.initial.is_bot:
+        return RefinementResult(False, FTrace())
+    order = [(s1.initial, s2.initial)]
+    links = {order[0]: None}  # pair -> (parent index, label)
+
+    def path(i):
+        out = []
+        while links[order[i]] is not None:
+            i, lab = links[order[i]]
+            out.append(lab)
+        return tuple(reversed(out))
+
+    i = 0
+    while i < len(order):
+        e1, e2 = order[i]
+        for lab in labels:
+            t1 = s1.step(e1, lab.name)
+            if t1.is_bot:
+                continue
+            t2 = s2.step(e2, lab.name)
+            if t2.is_bot:
+                return RefinementResult(False, FTrace(path(i) + (lab,)), i + 1)
+            if t1.is_top:
+                if t2.is_top:
+                    continue
+                if lab.is_input:
+                    return RefinementResult(False, FTrace(path(i), lab.name), i + 1)
+            if (t1, t2) not in links:
+                links[(t1, t2)] = (i, lab)
+                order.append((t1, t2))
+        i += 1
+    return RefinementResult(True, None, len(order))
+
+
+def test_leq_on_packed_pairs_agrees_with_oracles():
+    # leq_aia searches pairs of kernel ids packed into one int.  On conj-built
+    # specs, det-seeded kernels, kernels above _UP_MAX_STATES and kernels
+    # warmed beforehand by other steps and searches, so that the ids it packs
+    # are far from 0, its result equals a breadth-first search over public
+    # Configs (verdict, counterexample and pairs_explored), and its verdict
+    # and counterexample length agree with bounded inclusion on the oracle:
+    # the shortest observation of the left side missing on the right has the
+    # counterexample's length, or none exists up to K symbols.
+    from altia._kernel import _UP_MAX_STATES
+    from altia.errors import ExplorationLimitError
+    from oracles import rand_wide_config
+
+    K = 4
+    words = universe(("a", "b"), ("x", "y"), K)
+
+    def length(ft):
+        return len(ft.body) + (ft.failure is not None)
+
+    def warm(s, rng, n):
+        # number n random configurations and their successors in s's kernel
+        states = sorted(s.states)
+        for _ in range(n if states else 0):
+            e = rand_wide_config(rng, states)
+            for l in sorted(s.labels):
+                s.step(e, l)
+
+    rng = SplitMix64(59)
+    large = []  # conjunctions of three specs, of 13-16 states and 97-139 det states
+    while len(large) < 4:
+        s = conj(conj(rand_aia(rng, n_states=6), rand_aia(rng, n_states=6)),
+                 rand_aia(rng, n_states=6))
+        if len(s.states) > _UP_MAX_STATES and not s.initial.is_top and not s.initial.is_bot:
+            try:
+                large.append((s, det(s, cap=400)))
+            except ExplorationLimitError:
+                pass
+    cases = []
+    for n in range(30):
+        a, b = rand_aia(rng, n_states=6, name="a"), rand_aia(rng, n_states=6, name="b")
+        cases += [(a, b), (conj(a, b), a), (b, conj(a, b))]
+        if n % 3 == 0:
+            d = det(a)
+            cases += [(a, d), (d, a), (d, b)]
+    for big, d in large:
+        assert not big._masks().small
+        other = rand_aia(rng, n_states=6, name="o")
+        cases += [(big, d), (d, big), (big, other), (other, big)]
+    seen = {"fails": 0, "holds": 0, "far left": 0, "far right": 0}
+    for n, (s1, s2) in enumerate(cases):
+        if n % 2:  # warm both kernels: earlier steps and searches number other values
+            warm(s1, rng, 60)
+            warm(s2, rng, 60)
+            leq_aia(s1, s1)
+            seen["far left"] += len(s1._masks().objs) > 64
+            seen["far right"] += len(s2._masks().objs) > 64
+        got = leq_aia(s1, s2)
+        assert got == _leq_by_configs(s1, s2)
+        missing = [length(w) for w in words if aia_member(s1, w) and not aia_member(s2, w)]
+        if got.holds:
+            assert not missing
+            seen["holds"] += 1
+            continue
+        seen["fails"] += 1
+        cex = got.counterexample
+        assert aia_member(s1, cex) and not aia_member(s2, cex)
+        if length(cex) <= K:
+            assert min(missing) == length(cex)
+        else:
+            assert not missing
+    # 42 and 94 verdicts; 37 and 30 searches from kernels of over 64 ids
+    assert seen["fails"] >= 40 and seen["holds"] >= 80, seen
+    assert seen["far left"] >= 30 and seen["far right"] >= 25, seen
