@@ -23,6 +23,14 @@ memos:
 
 - the target table: per label, each state's target by state bit,
   encoded when a step first needs it;
+- per label, two state masks, filled by the first clause image that
+  misses the image memo under that label: ``dead``, the states whose
+  target is bottom, and ``free``, those whose target is top.  A clause
+  that meets ``dead`` has the image ``bottom_masks`` and one within
+  ``free`` the image ``top_masks``, each found with one ``&`` and not
+  memoised; any other clause meets the targets of its members outside
+  ``free`` only.  After ``?b`` a conjunction of views has hundreds of
+  clauses, nearly all of them with a member whose target is bottom;
 - per label, each clause's image (the meet of its members' targets), if
   of at most ``_IMAGE_MEMO_MAX_CLAUSES`` clauses; a top or bottom image
   is ``top_masks`` or ``bottom_masks`` itself;
@@ -143,8 +151,9 @@ class _MaskKernel:
     """
 
     __slots__ = (
-        "numbering", "trans", "labels", "index", "targets", "images", "ids", "objs", "rows",
-        "lock", "configs", "masks", "initial", "names", "clause_texts", "quoted", "small", "up",
+        "numbering", "trans", "labels", "index", "targets", "images", "dead_free", "ids", "objs",
+        "rows", "lock", "configs", "masks", "initial", "names", "clause_texts", "quoted", "small",
+        "up",
     )
     top, bottom = 0, 1  # the ids of top and bottom in every kernel
     top_masks, bottom_masks = _TRIVIAL.values()  # the same two objects in every kernel
@@ -158,6 +167,7 @@ class _MaskKernel:
         # per label, each state's target by bit, encoded when first needed
         self.targets = {l: [None] * len(states) for l in self.labels}
         self.images: dict[str, dict[int, _Masks]] = {l: {} for l in self.labels}
+        self.dead_free: dict[str, tuple[int, int]] = {}  # see _dead_free()
         # top and bottom are ids 0 and 1; intern numbers the others
         self.ids: dict[_Masks, int] = {self.top_masks: 0, self.bottom_masks: 1}
         self.objs: list[_Masks] = [self.top_masks, self.bottom_masks]
@@ -258,21 +268,44 @@ class _MaskKernel:
             self.targets[label][i] = t
         return t
 
+    def _dead_free(self, label: str) -> tuple[int, int]:
+        """The state masks ``(dead, free)`` of ``label``: the states whose
+        target under it is bottom, and those whose target is top; found by
+        the first image that misses the memo under ``label`` (the caller
+        looks them up first), not when the kernel is built, which every
+        cold automaton pays for."""
+        dead = free = 0
+        for i, row in enumerate(self.trans):
+            t = row[label]
+            if t.is_bot:
+                dead |= 1 << i
+            elif t.is_top:
+                free |= 1 << i
+        masks = self.dead_free[label] = (dead, free)
+        return masks
+
     def image(self, c: int, label: str) -> _Masks:
-        """The meet of the targets of clause ``c``'s members under ``label``;
-        a top or bottom image is ``top_masks`` or ``bottom_masks`` itself."""
+        """The meet of the targets of clause ``c``'s members under ``label``,
+        in one of three ways: ``bottom_masks`` itself if a member's target is
+        bottom (``c & dead``), ``top_masks`` itself if every member's target
+        is top (``c & ~free == 0``), and otherwise the meet of the targets of
+        the members outside ``free``, memoised if of at most
+        ``_IMAGE_MEMO_MAX_CLAUSES`` clauses."""
         images = self.images[label]
         img = images.get(c)
         if img is None:
+            dead, free = self.dead_free.get(label) or self._dead_free(label)
+            if c & dead:
+                return self.bottom_masks
+            rest = c & ~free
+            if not rest:
+                return self.top_masks
             targets, img = self.targets[label], self.top_masks
-            for i in self.numbering.indices(c):
+            for i in self.numbering.indices(rest):
                 t = targets[i]
                 if t is None:  # target()'s own test, without the call
                     t = self.target(label, i)
                 img = _mask_meet(img, t)
-                if not img:  # bottom absorbs the remaining members
-                    img = self.bottom_masks
-                    break
             if len(img) <= _IMAGE_MEMO_MAX_CLAUSES:
                 images[c] = img
         return img
@@ -296,8 +329,9 @@ class _MaskKernel:
     def step(self, e: int, j: int) -> int:
         """The id of the successor of id ``e`` under the label of index
         ``j``, computed on the first call and then read from the row: the
-        join of its clauses' images; a one-clause configuration's image as
-        it is, and three or more clauses of a small kernel joined on
+        join of its clauses' images (see :meth:`image`), which is top as
+        soon as one image is top; a one-clause configuration's image as it
+        is, and three or more clauses of a small kernel joined on
         up-sets."""
         t = self.rows[e][j]
         if t is not None:
@@ -309,15 +343,19 @@ class _MaskKernel:
                 up = self.up = _UpSets(self)
             succ = up.join(self, m, label)
         else:
-            images = self.images[label]
+            images, top_masks = self.images[label], self.top_masks
             joined: set[int] = set()
             for c in m:
                 img = images.get(c)  # image()'s own lookup, without the call
                 if img is None:
                     img = self.image(c, label)
+                if img is top_masks:  # top absorbs the remaining clauses
+                    succ = img
+                    break
                 joined |= img
-            # one clause's image is an antichain already
-            succ = img if len(m) == 1 else _mask_antichain(joined)
+            else:
+                # one clause's image is an antichain already
+                succ = img if len(m) == 1 else _mask_antichain(joined)
         t = self.ids.get(succ)  # intern()'s own lookup, without the call
         if t is None:
             t = self.intern(succ)

@@ -323,13 +323,21 @@ def substitute(e: Config, f: Mapping[str, Config]) -> Config:
 
     ``f[q]`` is looked up once per state of ``e``.  The result is the
     join, over the clauses of ``e``, of the meets of their members'
-    targets, and is computed so, unless every target is one non-empty
-    clause and those clauses are pairwise disjoint.  Then the
-    substitution is an order embedding, a renaming: each clause's image
-    is the union of its members' target clauses, and the images form an
-    antichain as they stand.
+    targets.  It is computed in one of three ways:
+
+    - every target a single state, no two the same: each clause is mapped
+      through one ``{state: name}`` dict;
+    - every target one non-empty clause, the clauses pairwise disjoint:
+      each clause's image is the union of its members' target clauses;
+    - otherwise as that join of meets.
+
+    In the first two cases the substitution is an order embedding, a
+    renaming, so the images form an antichain as they stand.
     """
     targets = {q: f[q] for q in e.states()}
+    names = {q: t.single_state for q, t in targets.items()}
+    if None not in names.values() and len(set(names.values())) == len(names):
+        return _from_antichain(frozenset(frozenset(map(names.__getitem__, c)) for c in e.clauses))
     if all(len(t.clauses) == 1 for t in targets.values()):
         image = {q: next(iter(t.clauses)) for q, t in targets.items()}
         members = image.values()

@@ -701,6 +701,93 @@ def test_step_is_substitution_on_larger_specs():
     assert stepping == 16
 
 
+def _rand_trivial_aia(rng, n_states, name="triv"):
+    # Mostly trivial targets, as in conjunctions of views: an input goes to
+    # top and an output to bottom three draws in five; the other targets
+    # are rand_config draws, so some of them are trivial too.
+    states = [f"{name}{k}" for k in range(n_states)]
+    trans = {}
+    for q in states:
+        row = {a: top() if rng.below(5) < 3 else rand_config(rng, states, allow_bot=False)
+               for a in ("a", "b")}
+        row.update((x, bot() if rng.below(5) < 3 else rand_config(rng, states))
+                   for x in ("x", "y"))
+        trans[q] = row
+    initial = bot()
+    while initial.is_top or initial.is_bot:
+        initial = rand_wide_config(rng, states)
+    return AIA(states, ("a", "b"), ("x", "y"), trans, initial, name=name)
+
+
+def test_trivial_targets_step_like_substitution():
+    # A clause with a member whose target is bottom steps to bottom, a
+    # clause whose members all go to top steps to top, and any other clause
+    # meets the targets of its members not going to top; a join stops at
+    # the first top image.  On specs whose targets are mostly trivial, with
+    # kernels on both sides of _UP_MAX_STATES and conj-built ones, every
+    # step of the first reachable configurations equals the substitution,
+    # and image returns the kernel's own top and bottom objects for such
+    # clauses.
+    from altia._kernel import _UP_MAX_STATES
+    from altia.search import Search
+
+    rng = SplitMix64(177)
+    specs = [_rand_trivial_aia(rng, n) for n in (3, 5, 8, _UP_MAX_STATES) * 3]
+    specs += [_rand_trivial_aia(rng, n) for n in (_UP_MAX_STATES + 1, 16, 20) * 3]
+    for _ in range(3):
+        specs += [conj(_rand_trivial_aia(rng, 4, "l"), _rand_trivial_aia(rng, 5, "r")),
+                  conj(_rand_trivial_aia(rng, 7, "l"), _rand_trivial_aia(rng, 8, "r")),
+                  conj(conj(_rand_trivial_aia(rng, 5, "l"), _rand_trivial_aia(rng, 5, "m")),
+                       _rand_trivial_aia(rng, 6, "r"))]
+    seen = dict.fromkeys(("free inputs", "dead outputs", "inputs", "outputs", "small", "large",
+                          "steps", "large steps", "top", "bottom", "all free", "dead member"), 0)
+    for s in specs:
+        for q in s.states:
+            seen["free inputs"] += sum(s.transitions[q][a].is_top for a in s.inputs)
+            seen["dead outputs"] += sum(s.transitions[q][x].is_bot for x in s.outputs)
+            seen["inputs"] += len(s.inputs)
+            seen["outputs"] += len(s.outputs)
+        k = s._masks()
+        seen["small" if k.small else "large"] += 1
+        # the reachable configurations, then wide draws no search reached
+        states = sorted(s.states)
+        search = Search([k.initial, *(k.encode(rand_wide_config(rng, states)) for _ in range(20))])
+        for i, e in search:
+            if i == 400:
+                break
+            c = k.decode(e)
+            for j, l in enumerate(k.labels):
+                t = k.step(e, j)
+                assert s.step(c, l) == substitute(c, {q: s.transitions[q][l] for q in s.states})
+                seen["steps"] += 1
+                seen["large steps"] += not k.small
+                seen["top"] += t == k.top
+                seen["bottom"] += t == k.bottom
+                if t > k.bottom:
+                    search.push(t)
+        bits = [(1 << i, q) for i, q in enumerate(k.numbering.names)]
+        for l in sorted(s.labels):
+            free = [b for b, q in bits if s.transitions[q][l].is_top]
+            dead = [b for b, q in bits if s.transitions[q][l].is_bot]
+            live = [b for b, q in bits if not s.transitions[q][l].is_bot]
+            for n in range(1, len(free) + 1):  # every free state, then all of them
+                c = sum(free[:n])
+                assert k.image(c, l) is k.top_masks
+                seen["all free"] += 1
+            for d in dead:  # a dead state with live ones around it
+                for c in (d, d | sum(live[:2]), d | sum(live)):
+                    assert k.image(c, l) is k.bottom_masks
+                    seen["dead member"] += 1
+    assert 2 * seen["free inputs"] >= seen["inputs"], seen
+    assert 2 * seen["dead outputs"] >= seen["outputs"], seen
+    assert seen["small"] >= 4 and seen["large"] >= 5, seen
+    # 5,780 steps, 3,668 of them in large kernels, 2,328 to top and 1,568
+    # to bottom; 479 all-free and 1,365 dead-member clauses
+    assert seen["steps"] >= 4000 and seen["large steps"] >= 2000, seen
+    assert seen["top"] >= 1500 and seen["bottom"] >= 1000, seen
+    assert seen["all free"] >= 300 and seen["dead member"] >= 900, seen
+
+
 def test_up_set_joins_agree_with_absorption():
     # Kernels of at most _UP_MAX_STATES states join three or more clause
     # images on up-sets; larger kernels and narrower joins absorb the

@@ -1,6 +1,7 @@
 import pytest
 
 from altia import (
+    AIA,
     AlphabetError,
     IA,
     FTrace,
@@ -188,18 +189,45 @@ def test_leq_ia_works_through_the_alternating_view(milkdrinks, tea):
 
 
 def test_concurrent_checks_on_shared_models():
-    # values are immutable and operations pure: parallel checks on the
-    # same automata give the sequential answers (each automaton's kernel
-    # is a cache, races only ever rebuild an equal value, and a value is
-    # numbered once)
+    # Values are immutable and operations pure: checks run in parallel on
+    # the same automata give the sequential answers.  Each automaton's
+    # kernel is a cache: races only ever rebuild an equal value, and a value
+    # is numbered once.  The parallel checks run first, on automata no
+    # search has stepped: four workers start each pair together, with a
+    # switch interval of a microsecond, so that threads step the same cold
+    # kernels.  The sequential answers come from copies built apart.  A
+    # value numbered twice would show as more pairs explored.
+    import sys
+    import threading
     from concurrent.futures import ThreadPoolExecutor
+
+    def check(a, b):
+        r = leq_aia(a, b)
+        return r.holds, r.counterexample, r.pairs_explored
+
+    def together(gate, a, b):
+        gate.wait(timeout=60)
+        return check(a, b)
+
+    def apart(a, b):
+        return check(*(AIA(s.states, s.inputs, s.outputs, s.transitions, s.initial, s.name)
+                       for s in (a, b)))
 
     rng = SplitMix64(58)
     pairs = [(rand_aia(rng, name="L"), rand_aia(rng, name="R")) for _ in range(40)]
-    sequential = [leq_aia(a, b).holds for a, b in pairs]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda p: leq_aia(*p).holds, pairs))
-    assert parallel == sequential
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            # a pair's four jobs are queued one after another, so they all
+            # start: at most one pair at a time has workers waiting
+            gates = [threading.Barrier(4) for _ in pairs]
+            jobs = [[pool.submit(together, gate, *p) for _ in range(4)]
+                    for gate, p in zip(gates, pairs)]
+            parallel = [[f.result(timeout=60) for f in fs] for fs in jobs]
+    finally:
+        sys.setswitchinterval(old)
+    assert parallel == [[apart(*p)] * 4 for p in pairs]
 
 
 def test_ia_right_side_counterexample_respects_closure():

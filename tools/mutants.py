@@ -140,6 +140,20 @@ CATALOGUE = [
         "self.small = len(states) < _UP_MAX_STATES",
         ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",),
     ),
+    Mutant(
+        "kernel-dead-image-top", "a clause with a member whose target is bottom steps to top",
+        KERNEL,
+        "            if c & dead:\n                return self.bottom_masks",
+        "            if c & dead:\n                return self.top_masks",
+        ("tests/test_aia.py::test_trivial_targets_step_like_substitution",),
+    ),
+    Mutant(
+        "kernel-free-mask-kept", "a clause meets the targets of its members that go to top",
+        KERNEL,
+        "rest = c & ~free",
+        "rest = c & free",
+        ("tests/test_aia.py::test_trivial_targets_step_like_substitution",),
+    ),
     # -- test execution's successor index and the alternating view of an IA
     Mutant(
         "ia-index-unsorted", "the successor index keeps each row's labels unsorted",
@@ -201,6 +215,14 @@ CATALOGUE = [
         "if all(members) and len(frozenset().union(*members)) == sum(map(len, members)):",
         "if all(members):",
         ("tests/test_lattice.py::test_substitute_mixes_target_shapes",),
+    ),
+    Mutant(
+        "substitute-renaming-not-distinct", "substitute renames clause by clause where two "
+        "states go to one name",
+        LATTICE,
+        "if None not in names.values() and len(set(names.values())) == len(names):",
+        "if None not in names.values():",
+        ("tests/test_lattice.py::test_substitute_renamings_match_the_join_of_meets",),
     ),
     Mutant(
         "meet-absorbs-last-only", "meet_all absorbs only at its last operand",
