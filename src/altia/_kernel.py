@@ -21,19 +21,19 @@ ids back to the kernel, test them against ``k.top`` and ``k.bottom``,
 and convert to ``Config`` only through ``encode`` and ``decode``.  The
 memos:
 
-- the target table: per label, each state's target by state bit,
-  encoded when a step first needs it;
-- per label, two state masks, filled by the first clause image that
-  misses the image memo under that label: ``dead``, the states whose
-  target is bottom, and ``free``, those whose target is top.  A clause
-  that meets ``dead`` has the image ``bottom_masks`` and one within
+- ``records``, one per label, built by the first clause image under
+  that label in one pass over the states, not when the kernel is built,
+  which every cold automaton pays for: ``(dead, free, targets, images)``.
+  ``dead`` is the mask of the states whose target is bottom and ``free``
+  of those whose target is top; ``targets`` holds each state's target by
+  state bit, bottom and top as ``bottom_masks`` and ``top_masks``
+  themselves; ``images`` memoises each clause's image (the meet of its
+  members' targets) of at most ``_IMAGE_MEMO_MAX_CLAUSES`` clauses.  A
+  clause that meets ``dead`` has the image ``bottom_masks`` and one within
   ``free`` the image ``top_masks``, each found with one ``&`` and not
   memoised; any other clause meets the targets of its members outside
   ``free`` only.  After ``?b`` a conjunction of views has hundreds of
   clauses, nearly all of them with a member whose target is bottom;
-- per label, each clause's image (the meet of its members' targets), if
-  of at most ``_IMAGE_MEMO_MAX_CLAUSES`` clauses; a top or bottom image
-  is ``top_masks`` or ``bottom_masks`` itself;
 - ``ids``, mask antichain -> id, and ``objs``, id -> the first mask
   antichain of its value, which the miss path steps;
 - ``rows``, id -> successor ids by label index, one list per id made
@@ -110,9 +110,6 @@ _IMAGE_MEMO_MAX_CLAUSES = 8
 # Above 12 states the memory grows faster than the time falls.
 _UP_MAX_STATES = 12
 
-# the clause sets of top and bottom, the commonest targets, to their masks
-_TRIVIAL: dict[frozenset, _Masks] = {top().clauses: _TOP_MASKS, bot().clauses: frozenset()}
-
 # leq_aia packs a pair of ids into one int, e1 << _ID_BITS | e2; a kernel
 # numbers at most 2**_ID_BITS values (see _MaskKernel.intern)
 _ID_BITS = 32
@@ -151,12 +148,11 @@ class _MaskKernel:
     """
 
     __slots__ = (
-        "numbering", "trans", "labels", "index", "targets", "images", "dead_free", "ids", "objs",
-        "rows", "lock", "configs", "masks", "initial", "names", "clause_texts", "quoted", "small",
-        "up",
+        "numbering", "trans", "labels", "index", "records", "ids", "objs", "rows", "lock",
+        "configs", "masks", "initial", "names", "clause_texts", "quoted", "small", "up",
     )
     top, bottom = 0, 1  # the ids of top and bottom in every kernel
-    top_masks, bottom_masks = _TRIVIAL.values()  # the same two objects in every kernel
+    top_masks, bottom_masks = _TOP_MASKS, frozenset()  # the same two objects in every kernel
 
     def __init__(self, s):
         states = sorted(s.states)
@@ -164,10 +160,8 @@ class _MaskKernel:
         self.trans = [s.transitions[q] for q in states]  # by bit
         self.labels = (*sorted(s.inputs), *sorted(s.outputs))  # by label index
         self.index = {l: j for j, l in enumerate(self.labels)}
-        # per label, each state's target by bit, encoded when first needed
-        self.targets = {l: [None] * len(states) for l in self.labels}
-        self.images: dict[str, dict[int, _Masks]] = {l: {} for l in self.labels}
-        self.dead_free: dict[str, tuple[int, int]] = {}  # see _dead_free()
+        # label -> (dead, free, targets, images), see _record()
+        self.records: dict[str, tuple[int, int, list[_Masks], dict[int, _Masks]]] = {}
         # top and bottom are ids 0 and 1; intern numbers the others
         self.ids: dict[_Masks, int] = {self.top_masks: 0, self.bottom_masks: 1}
         self.objs: list[_Masks] = [self.top_masks, self.bottom_masks]
@@ -256,33 +250,25 @@ class _MaskKernel:
         entry = self.clause_texts[c] = (bits, _clause_text([quoted[i] for i in bits]))
         return entry
 
-    def target(self, label: str, i: int) -> _Masks:
-        """The mask antichain of the target of state bit ``i`` under
-        ``label``, encoded on first use."""
-        t = self.targets[label][i]
-        if t is None:
-            clauses = self.trans[i][label].clauses
-            t = _TRIVIAL.get(clauses)
-            if t is None:
-                t = self.numbering.encode(clauses)
-            self.targets[label][i] = t
-        return t
-
-    def _dead_free(self, label: str) -> tuple[int, int]:
-        """The state masks ``(dead, free)`` of ``label``: the states whose
-        target under it is bottom, and those whose target is top; found by
-        the first image that misses the memo under ``label`` (the caller
-        looks them up first), not when the kernel is built, which every
-        cold automaton pays for."""
+    def _record(self, label: str) -> tuple:
+        """The record ``(dead, free, targets, images)`` of ``label`` (see
+        the module docstring), with every target encoded here once and an
+        empty image memo; built by the first image under ``label``, whose
+        caller looks it up first."""
         dead = free = 0
+        targets: list[_Masks] = []
         for i, row in enumerate(self.trans):
             t = row[label]
             if t.is_bot:
                 dead |= 1 << i
+                targets.append(self.bottom_masks)
             elif t.is_top:
                 free |= 1 << i
-        masks = self.dead_free[label] = (dead, free)
-        return masks
+                targets.append(self.top_masks)
+            else:
+                targets.append(self.numbering.encode(t.clauses))
+        record = self.records[label] = (dead, free, targets, {})
+        return record
 
     def image(self, c: int, label: str) -> _Masks:
         """The meet of the targets of clause ``c``'s members under ``label``,
@@ -290,22 +276,18 @@ class _MaskKernel:
         bottom (``c & dead``), ``top_masks`` itself if every member's target
         is top (``c & ~free == 0``), and otherwise the meet of the targets of
         the members outside ``free``, memoised if of at most
-        ``_IMAGE_MEMO_MAX_CLAUSES`` clauses."""
-        images = self.images[label]
+        ``_IMAGE_MEMO_MAX_CLAUSES`` clauses; see :meth:`_record`."""
+        dead, free, targets, images = self.records.get(label) or self._record(label)
         img = images.get(c)
         if img is None:
-            dead, free = self.dead_free.get(label) or self._dead_free(label)
             if c & dead:
                 return self.bottom_masks
             rest = c & ~free
             if not rest:
                 return self.top_masks
-            targets, img = self.targets[label], self.top_masks
+            img = self.top_masks
             for i in self.numbering.indices(rest):
-                t = targets[i]
-                if t is None:  # target()'s own test, without the call
-                    t = self.target(label, i)
-                img = _mask_meet(img, t)
+                img = _mask_meet(img, targets[i])
             if len(img) <= _IMAGE_MEMO_MAX_CLAUSES:
                 images[c] = img
         return img
@@ -329,10 +311,10 @@ class _MaskKernel:
     def step(self, e: int, j: int) -> int:
         """The id of the successor of id ``e`` under the label of index
         ``j``, computed on the first call and then read from the row: the
-        join of its clauses' images (see :meth:`image`), which is top as
-        soon as one image is top; a one-clause configuration's image as it
-        is, and three or more clauses of a small kernel joined on
-        up-sets."""
+        join of its clauses' images under that label's record (see
+        :meth:`image`), which is top as soon as one image is top; a
+        one-clause configuration's image as it is, and three or more
+        clauses of a small kernel joined on up-sets."""
         t = self.rows[e][j]
         if t is not None:
             return t
@@ -343,8 +325,8 @@ class _MaskKernel:
                 up = self.up = _UpSets(self)
             succ = up.join(self, m, label)
         else:
-            images, top_masks = self.images[label], self.top_masks
-            joined: set[int] = set()
+            images = (self.records.get(label) or self._record(label))[3]
+            top_masks, joined = self.top_masks, set()
             for c in m:
                 img = images.get(c)  # image()'s own lookup, without the call
                 if img is None:
@@ -395,8 +377,8 @@ class _UpSets:
         n = len(k.numbering.names)
         self.full = (1 << (1 << n)) - 1  # top: every subset
         self.tables = _up_tables(n)
-        self.targets: dict[str, list[Optional[int]]] = {l: [None] * n for l in k.targets}
-        self.images: dict[str, dict[int, int]] = {l: {} for l in k.targets}
+        self.targets: dict[str, list[Optional[int]]] = {l: [None] * n for l in k.labels}
+        self.images: dict[str, dict[int, int]] = {l: {} for l in k.labels}
         self.antichains: dict[int, _Masks] = {}
 
     def join(self, k: _MaskKernel, e: _Masks, label: str) -> _Masks:
@@ -414,12 +396,12 @@ class _UpSets:
         return succ
 
     def _image(self, k: _MaskKernel, c: int, label: str) -> int:
-        targets = self.targets[label]
-        img = self.full
+        targets, img = self.targets[label], self.full
+        masks = (k.records.get(label) or k._record(label))[2]
         for i in k.numbering.indices(c):
             t = targets[i]
             if t is None:
-                t = targets[i] = self._up_set(k.target(label, i))
+                t = targets[i] = self._up_set(masks[i])
             img &= t
             if not img:  # bottom absorbs the remaining members
                 break

@@ -299,10 +299,9 @@ def induce_ia(s: AIA) -> IA:
     initial = k.clauses(k.initial)
     search = Search(initial)
     trans: dict[str, dict[str, set[str]]] = {}
-    labels = sorted(s.inputs) + sorted(s.outputs)
     for _, c in search:
         row: dict[str, set[str]] = {}
-        for label in labels:
+        for label in k.labels:
             succs = k.image(c, label)
             if succs is k.bottom_masks or succs is k.top_masks and label in s.inputs:
                 continue

@@ -323,27 +323,16 @@ def substitute(e: Config, f: Mapping[str, Config]) -> Config:
 
     ``f[q]`` is looked up once per state of ``e``.  The result is the
     join, over the clauses of ``e``, of the meets of their members'
-    targets.  It is computed in one of three ways:
-
-    - every target a single state, no two the same: each clause is mapped
-      through one ``{state: name}`` dict;
-    - every target one non-empty clause, the clauses pairwise disjoint:
-      each clause's image is the union of its members' target clauses;
-    - otherwise as that join of meets.
-
-    In the first two cases the substitution is an order embedding, a
-    renaming, so the images form an antichain as they stand.
+    targets.  When every target is a single state and no two are the
+    same, the substitution is an order embedding, a renaming: each clause
+    is mapped through one ``{state: name}`` dict, and the images form an
+    antichain as they stand.  Otherwise it is computed as that join of
+    meets.
     """
     targets = {q: f[q] for q in e.states()}
     names = {q: t.single_state for q, t in targets.items()}
     if None not in names.values() and len(set(names.values())) == len(names):
         return _from_antichain(frozenset(frozenset(map(names.__getitem__, c)) for c in e.clauses))
-    if all(len(t.clauses) == 1 for t in targets.values()):
-        image = {q: next(iter(t.clauses)) for q, t in targets.items()}
-        members = image.values()
-        if all(members) and len(frozenset().union(*members)) == sum(map(len, members)):
-            return _from_antichain(frozenset(frozenset().union(*map(image.__getitem__, c))
-                                             for c in e.clauses))
     return join_all(meet_all(targets[q] for q in c) for c in e.clauses)
 
 

@@ -9,13 +9,12 @@ decides trace-set inclusion exactly, and the first offending pair yields
 a shortest counterexample.  Each side steps its configurations as the
 ids of its automaton's mask kernel, whose memos are shared with every
 other search on the same automaton, and a pair of ids is searched as one
-int.
+int, reached by a label's index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from . import aia as _aia
@@ -42,14 +41,13 @@ class RefinementResult:
         return self.holds
 
 
-# bounded only so that a process meeting ever new alphabets does not grow
-@lru_cache(maxsize=256)
-def _labels(names: tuple[str, ...], n_inputs: int) -> tuple[Label, ...]:
-    """The ``Label`` of each name of a kernel's ``labels``, whose first
-    ``n_inputs`` are the inputs, built once per alphabet: building them
-    took about 4.8 us of a 30 us cold leq_aia of two 5-state views (2-core
-    Xeon host)."""
-    return tuple(Label(l, j < n_inputs) for j, l in enumerate(names))
+def _trace(names: tuple[str, ...], n_inputs: int, path: tuple[int, ...]) -> tuple[Label, ...]:
+    """The labels of the label indices ``path`` into a kernel's ``labels``
+    ``names``, whose first ``n_inputs`` are the inputs.  The search pushes
+    indices and builds labels only along a counterexample's path: a
+    ``Label`` per name took about 4.8 us of a 30 us cold leq_aia of two
+    5-state views (2-core Xeon host)."""
+    return tuple([Label(names[j], j < n_inputs) for j in path])
 
 
 def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
@@ -65,7 +63,7 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     # id is below 2**_ID_BITS.  Every kernel numbers top 0 and bottom 1.
     # Each side steps a row slot only where the search reads it.
     k1, k2 = s1._masks(), s2._masks()
-    labels = _labels(k1.labels, len(s1.inputs))
+    names, n_inputs = k1.labels, len(s1.inputs)
     top, bottom, low = k1.top, k1.bottom, (1 << _ID_BITS) - 1
     row1, row2, step1, step2 = k1.row, k2.row, k1.step, k2.step
     search = Search([k1.initial << _ID_BITS | k2.initial], cap)
@@ -73,7 +71,7 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     for i, pair in search:
         e1, e2 = pair >> _ID_BITS, pair & low
         r1, r2 = row1(e1), row2(e2)
-        for j, lab in enumerate(labels):
+        for j in range(len(names)):
             t1 = r1[j]
             if t1 is None:
                 t1 = step1(e1, j)
@@ -83,15 +81,17 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
             if t2 is None:
                 t2 = step2(e2, j)
             if t2 == bottom:
-                return RefinementResult(False, FTrace(search.path(i) + (lab,)), i + 1)
+                body = _trace(names, n_inputs, search.path(i) + (j,))
+                return RefinementResult(False, FTrace(body), i + 1)
             if t1 == top:
                 if t2 == top:
                     continue
                 # A refusal the left side allows must be allowed on the
                 # right: both sides must be underspecified on this input.
-                if lab.is_input:
-                    return RefinementResult(False, FTrace(search.path(i), lab.name), i + 1)
-            push(t1 << _ID_BITS | t2, i, lab)
+                if j < n_inputs:
+                    body = _trace(names, n_inputs, search.path(i))
+                    return RefinementResult(False, FTrace(body, names[j]), i + 1)
+            push(t1 << _ID_BITS | t2, i, j)
     return RefinementResult(True, None, len(search.nodes))
 
 

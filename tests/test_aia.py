@@ -788,6 +788,39 @@ def test_trivial_targets_step_like_substitution():
     assert seen["all free"] >= 300 and seen["dead member"] >= 900, seen
 
 
+def test_kernel_builds_a_label_record_on_its_first_step():
+    # A cold kernel holds no per-label record.  The first step under a
+    # label builds that label's record alone, on up-sets as on absorption:
+    # the states whose target is bottom (dead) and top (free), and every
+    # state's target by bit, bottom and top as the kernel's own objects.
+    from altia._kernel import _UP_MAX_STATES
+
+    rng = SplitMix64(178)
+    up = 0
+    for n in (3, 6, _UP_MAX_STATES, _UP_MAX_STATES + 4) * 3:
+        s = _rand_trivial_aia(rng, n)
+        k = s._masks()
+        assert not k.records and k.up is None
+        e = k.bottom
+        while e <= k.bottom:
+            e = k.encode(rand_wide_config(rng, sorted(s.states)))
+        up += k.small and len(k.clauses(e)) > 2
+        built = set()
+        for j in reversed(range(len(k.labels))):
+            l = k.labels[j]
+            k.step(e, j)
+            built.add(l)
+            assert set(k.records) == built
+            dead, free, targets, _ = k.records[l]
+            for i, q in enumerate(k.numbering.names):
+                t = s.transitions[q][l]
+                assert (dead >> i & 1, free >> i & 1) == (t.is_bot, t.is_top)
+                if t.is_bot or t.is_top:
+                    assert targets[i] is (k.bottom_masks if t.is_bot else k.top_masks)
+                assert k.numbering.decode(targets[i]) == t
+    assert up >= 3, up
+
+
 def test_up_set_joins_agree_with_absorption():
     # Kernels of at most _UP_MAX_STATES states join three or more clause
     # images on up-sets; larger kernels and narrower joins absorb the

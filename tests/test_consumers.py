@@ -108,7 +108,7 @@ def test_only_the_kernel_reads_masks():
     # back to it, reads rows only through its methods and tests top and
     # bottom by id.
     mask_names = {"_TOP_MASKS", "_Masks", "_mask_meet", "_mask_antichain", "_Numbering"}
-    kernel_attrs = {"steps", "successors", "numbering", "images", "configs", "masks",
+    kernel_attrs = {"steps", "successors", "numbering", "images", "records", "configs", "masks",
                     "ids", "objs", "rows"}
     users: dict[str, set] = {}
     readers: dict[str, set] = {}

@@ -260,10 +260,10 @@ def test_substitute_mixes_target_shapes():
     # of the 400 draws; 122, 198, 115, 171 and 178 on this seed
     assert ored >= 100 and one_and_wide >= 150 and three_shapes >= 90
     assert with_bottom >= 140 and absorbed >= 140
-    # every target one clause: substitute builds no mask exactly when the
-    # clauses are non-empty and pairwise disjoint (an order embedding), so
-    # injective renamings onto one or two names reach that side, and two
-    # states sent onto one, overlapping targets and a top target the other
+    # every target one clause: injective renamings onto one or two names,
+    # whose clauses are non-empty and pairwise disjoint (an order
+    # embedding), and two states sent onto one, overlapping targets and a
+    # top target, which are not
     fresh = [f"r{i}" for i in range(12)]
     disjoint = overlapping = merged = with_top = 0
     for n in range(400):

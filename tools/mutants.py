@@ -154,6 +154,29 @@ CATALOGUE = [
         "rest = c & free",
         ("tests/test_aia.py::test_trivial_targets_step_like_substitution",),
     ),
+    Mutant(
+        "kernel-top-target-bottom", "a label's record holds bottom for a target that is top",
+        KERNEL,
+        "                free |= 1 << i\n                targets.append(self.top_masks)",
+        "                free |= 1 << i\n                targets.append(self.bottom_masks)",
+        ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_trivial_targets_step_like_substitution",
+         "tests/test_aia.py::test_kernel_builds_a_label_record_on_its_first_step"),
+    ),
+    Mutant(
+        "leq-refusal-past-inputs", "leq_aia checks a refusal on the first output as an input",
+        "src/altia/refine.py",
+        "                if j < n_inputs:",
+        "                if j <= n_inputs:",
+        ("tests/test_refine.py::test_counterexamples_validated_both_sides",),
+    ),
+    Mutant(
+        "leq-label-direction", "a counterexample names its first output as an input",
+        "src/altia/refine.py",
+        "Label(names[j], j < n_inputs)",
+        "Label(names[j], j <= n_inputs)",
+        ("tests/test_refine.py::test_counterexamples_validated_both_sides",),
+    ),
     # -- test execution's successor index and the alternating view of an IA
     Mutant(
         "ia-index-unsorted", "the successor index keeps each row's labels unsorted",
@@ -208,13 +231,6 @@ CATALOGUE = [
         "        shared |= seen.intersection(s)\n        seen |= s",
         "        shared = set(s) if e is operands[0] else shared.intersection(s)",
         ("tests/test_lattice.py::test_minimize_matches_brute_force_antichain",),
-    ),
-    Mutant(
-        "substitute-overlapping-renaming", "substitute renames where two targets share a state",
-        LATTICE,
-        "if all(members) and len(frozenset().union(*members)) == sum(map(len, members)):",
-        "if all(members):",
-        ("tests/test_lattice.py::test_substitute_mixes_target_shapes",),
     ),
     Mutant(
         "substitute-renaming-not-distinct", "substitute renames clause by clause where two "
