@@ -9,17 +9,27 @@ per member, a configuration the frozenset of its clause masks, a *mask
 antichain* (see :mod:`altia.lattice`).  Only this module, the lattice and
 the parser read masks.
 
-The searches see a configuration as its *id*: the kernel numbers every
-configuration value it meets densely, in the order it meets them, with
-0 for top and 1 for bottom in every kernel (``k.top`` and ``k.bottom``),
-so an id above ``k.bottom`` is a nontrivial configuration.  Its
-successor under the label of index ``j`` of ``k.labels`` (the sorted
-inputs, then the sorted outputs) is ``k.step(e, j)``; ``k.row(e)`` is
-its row of successor ids by label index as far as it is filled, and
-``k.full_row(e)`` the row with every slot filled.  Other modules hand
-ids back to the kernel, test them against ``k.top`` and ``k.bottom``,
-and convert to ``Config`` only through ``encode`` and ``decode``.  The
-memos:
+The searches see a configuration as its *id*, a plain int: the kernel
+numbers every configuration value it meets densely, in the order it
+meets them, with 0 for top and 1 for bottom in every kernel (``k.top``
+and ``k.bottom``), so an id above ``k.bottom`` is a nontrivial
+configuration.  Other modules use this interface and nothing else of a
+kernel:
+
+- ``top``, ``bottom`` and ``initial``, the ids of top, bottom and the
+  automaton's initial configuration;
+- ``labels``, the sorted inputs, then the sorted outputs, and ``index``,
+  label -> its index there;
+- ``step(e, j)``, the successor id of ``e`` under the label of index
+  ``j``; ``row(e)``, the successor ids by label index as far as they are
+  filled, and ``full_row(e)``, the row with every slot filled;
+- ``clauses(e)``, the ids of ``e``'s clauses as one-clause
+  configurations, each of which steps to its clause's image;
+- ``at_most_one_state(e)`` and ``name(e)``, its expression string;
+- ``encode`` and ``decode``, the boundary with ``Config``, and
+  ``seed``, which fills rows from a determinization table.
+
+The memos:
 
 - ``records``, one per label, built by the first clause image under
   that label in one pass over the states, not when the kernel is built,
@@ -110,10 +120,6 @@ _IMAGE_MEMO_MAX_CLAUSES = 8
 # Above 12 states the memory grows faster than the time falls.
 _UP_MAX_STATES = 12
 
-# leq_aia packs a pair of ids into one int, e1 << _ID_BITS | e2; a kernel
-# numbers at most 2**_ID_BITS values (see _MaskKernel.intern)
-_ID_BITS = 32
-
 _UP_HAS: dict[int, tuple[tuple[int, int], ...]] = {}  # n -> ((NotHas_i, 2**i), ...)
 
 
@@ -191,7 +197,6 @@ class _MaskKernel:
                 i = self.ids.get(m)
                 if i is None:
                     i = len(self.objs)
-                    assert i >> _ID_BITS == 0, "too many configurations to pack a pair of ids"
                     self.objs.append(m)
                     self.rows.append([None] * len(self.labels))
                     self.ids[m] = i
@@ -218,9 +223,11 @@ class _MaskKernel:
             self.masks[c] = m
         return c
 
-    def clauses(self, e: int) -> _Masks:
-        """The clause masks of id ``e``."""
-        return self.objs[e]
+    def clauses(self, e: int) -> list[int]:
+        """The ids of the clauses of id ``e``, each as a one-clause
+        configuration, whose step is that clause's image."""
+        intern = self.intern
+        return [intern(frozenset((c,))) for c in self.objs[e]]
 
     def at_most_one_state(self, e: int) -> bool:
         """Whether id ``e`` is top, bottom or a single state."""
@@ -237,10 +244,6 @@ class _MaskKernel:
             entries = sorted([texts.get(c) or self._clause_entry(c) for c in self.objs[e]])
             name = self.names[e] = _write([text for _, text in entries])
         return name
-
-    def clause_name(self, c: int) -> str:
-        """The expression string of the one-clause configuration ``c``."""
-        return self.name(self.intern(frozenset((c,))))
 
     def _clause_entry(self, c: int) -> tuple[tuple[int, ...], str]:
         quoted = self.quoted

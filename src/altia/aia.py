@@ -227,16 +227,16 @@ def _force_disjoint(s1: AIA, s2: AIA) -> tuple[AIA, AIA]:
 
 def _compose(s1: AIA, s2: AIA, combine, name: str) -> AIA:
     _require_same_alphabets(s1, s2)
+    # both operands are valid over equal alphabets and, once forced
+    # apart, disjoint states: their union is valid as it stands
     a, b = _force_disjoint(s1, s2)
-    trans = {q: dict(row) for q, row in a.transitions.items()}
-    trans.update({q: dict(row) for q, row in b.transitions.items()})
-    return AIA(
+    return AIA._valid(
         a.states | b.states,
         s1.inputs,
         s1.outputs,
-        trans,
+        {**a.transitions, **b.transitions},
         combine(a.initial, b.initial),
-        name=name,
+        name,
     )
 
 
@@ -293,27 +293,23 @@ def induce_ia(s: AIA) -> IA:
     clause is chaotic: all its behaviour is unconstrained.  Moving to a
     fully underspecified input is expressed by removing the transition
     rather than by an edge, so only reachable clauses are materialized.
-    The clauses are searched in the mask kernel, each stepped to its image.
+    The clauses are searched in the mask kernel as one-clause
+    configurations, each stepped to its image.
     """
     k = s._masks()
+    n_inputs = len(s.inputs)
     initial = k.clauses(k.initial)
     search = Search(initial)
     trans: dict[str, dict[str, set[str]]] = {}
     for _, c in search:
         row: dict[str, set[str]] = {}
-        for label in k.labels:
-            succs = k.image(c, label)
-            if succs is k.bottom_masks or succs is k.top_masks and label in s.inputs:
+        for j, t in enumerate(k.full_row(c)):
+            if t == k.bottom or t == k.top and j < n_inputs:
                 continue
-            row[label] = set(map(k.clause_name, succs))
+            succs = k.clauses(t)
+            row[k.labels[j]] = set(map(k.name, succs))
             for d in succs:
                 search.push(d)
-        trans[k.clause_name(c)] = row
-    return IA(
-        set(trans),
-        s.inputs,
-        s.outputs,
-        trans,
-        set(map(k.clause_name, initial)),
-        name=f"ia({s.name})",
-    )
+        trans[k.name(c)] = row
+    initial_names = set(map(k.name, initial))
+    return IA(set(trans), s.inputs, s.outputs, trans, initial_names, name=f"ia({s.name})")

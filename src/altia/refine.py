@@ -8,8 +8,8 @@ first search over configuration pairs (one :class:`~altia.search.Search`)
 decides trace-set inclusion exactly, and the first offending pair yields
 a shortest counterexample.  Each side steps its configurations as the
 ids of its automaton's mask kernel, whose memos are shared with every
-other search on the same automaton, and a pair of ids is searched as one
-int, reached by a label's index.
+other search on the same automaton, and a pair of ids is searched as a
+tuple, reached by a label's index.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import aia as _aia
-from ._kernel import _ID_BITS
 from .aia import AIA, induce_aia
 from .errors import AlphabetError
 from .ia import IA, FTrace, Label
@@ -59,17 +58,15 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     if s2.initial.is_bot:
         return RefinementResult(False, FTrace())
 
-    # A pair of kernel ids (e1, e2) is the int e1 << _ID_BITS | e2: every
-    # id is below 2**_ID_BITS.  Every kernel numbers top 0 and bottom 1.
-    # Each side steps a row slot only where the search reads it.
+    # Every kernel numbers top 0 and bottom 1.  Each side steps a row slot
+    # only where the search reads it.
     k1, k2 = s1._masks(), s2._masks()
     names, n_inputs = k1.labels, len(s1.inputs)
-    top, bottom, low = k1.top, k1.bottom, (1 << _ID_BITS) - 1
+    top, bottom = k1.top, k1.bottom
     row1, row2, step1, step2 = k1.row, k2.row, k1.step, k2.step
-    search = Search([k1.initial << _ID_BITS | k2.initial], cap)
+    search = Search([(k1.initial, k2.initial)], cap)
     push = search.push
-    for i, pair in search:
-        e1, e2 = pair >> _ID_BITS, pair & low
+    for i, (e1, e2) in search:
         r1, r2 = row1(e1), row2(e2)
         for j in range(len(names)):
             t1 = r1[j]
@@ -91,7 +88,7 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
                 if j < n_inputs:
                     body = _trace(names, n_inputs, search.path(i))
                     return RefinementResult(False, FTrace(body, names[j]), i + 1)
-            push(t1 << _ID_BITS | t2, i, j)
+            push((t1, t2), i, j)
     return RefinementResult(True, None, len(search.nodes))
 
 

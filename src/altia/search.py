@@ -18,7 +18,8 @@ Configurations are searched as the ids of the automaton's mask kernel
 row of successor ids, which the kernel fills on a miss, so a search over
 an automaton already explored pushes ints and computes nothing.  Its
 callers name, relabel or test ids through the kernel; none decodes them.
-``refine.leq_aia`` searches pairs of ids packed into one int.
+``refine.leq_aia`` searches pairs of ids as tuples ``(e1, e2)``, and
+``aia.induce_ia`` the ids of one-clause configurations.
 """
 
 from __future__ import annotations

@@ -184,6 +184,47 @@ def test_induce_aia_is_valid_by_construction():
     assert all(seen.values()), seen
 
 
+def test_conj_and_disj_are_valid_by_construction():
+    # conj and disj skip the constructor's checks: on spec pairs with
+    # shared and with disjoint state names, and with top, bottom and
+    # compound initial configurations, each result equals the checked
+    # constructor's automaton of the operands' states and rows, renamed
+    # apart where names are shared, and the operands stay as they were
+    def checked(x):
+        return AIA(x.states, x.inputs, x.outputs, x.transitions, x.initial, name=x.name)
+
+    rng = SplitMix64(179)
+    seen = dict.fromkeys(("shared", "disjoint", "top initial", "bottom initial"), 0)
+    for n in range(120):
+        a = rand_aia(rng, n_states=5, name="l")
+        b = rand_aia(rng, n_states=5, name="r")
+        if n % 2:  # disjoint names
+            b = rename_states(b, {q: "r" + q for q in b.states})
+        if n % 5 == 0:
+            initial = top() if n % 10 == 0 else bot()
+            b = AIA(b.states, b.inputs, b.outputs, b.transitions, initial, name=b.name)
+        before = (checked(a), checked(b))
+        ra, rb = a, b
+        if a.states & b.states:
+            ra = rename_states(a, {q: q + "#1" for q in a.states})
+            rb = rename_states(b, {q: q + "#2" for q in b.states})
+            seen["shared"] += 1
+        else:
+            seen["disjoint"] += 1
+        for op, word, combine in ((conj, "and", meet), (disj, "or", join)):
+            got = op(a, b)
+            assert got == checked(got) == AIA(
+                ra.states | rb.states, a.inputs, a.outputs, {**ra.transitions, **rb.transitions},
+                combine(ra.initial, rb.initial))
+            assert got.name == f"(l {word} r)"
+            assert type(got.inputs) is type(got.outputs) is frozenset
+            seen["top initial"] += got.initial.is_top
+            seen["bottom initial"] += got.initial.is_bot
+        assert (a, b) == before
+    # 60 and 60 pairs; 48 top and 42 bottom initial configurations
+    assert min(seen.values()) >= 10, seen
+
+
 def test_induce_ia_bottom_is_empty():
     s = aia_bot(("a",), ("x",))
     i = induce_ia(s)
@@ -295,6 +336,77 @@ def test_induce_ia_preserves_traces_up_to_closure():
         s = rand_aia(rng, n_states=3)
         back = induce_ia(s)
         assert ia_fcl_set(back, words) == aia_member_set(s, words)
+
+
+def _induce_ia_by_steps(s):
+    # induce_ia's search written over the public Config values of
+    # AIA.step: each reachable clause as a one-clause Config, stepped
+    # label by label, its image's clauses its successors; bottom gives no
+    # edge, and neither does top under an input
+    from altia.lattice import Config, expr_str
+
+    start = [Config([c]) for c in s.initial.clauses]
+    order, seen, trans = list(start), set(start), {}
+    for c in order:
+        row = {}
+        for l in sorted(s.labels):
+            t = s.step(c, l)
+            if t.is_bot or t.is_top and l in s.inputs:
+                continue
+            succs = [Config([d]) for d in t.clauses]
+            row[l] = {expr_str(d) for d in succs}
+            for d in succs:
+                if d not in seen:
+                    seen.add(d)
+                    order.append(d)
+        trans[expr_str(c)] = row
+    return IA(set(trans), s.inputs, s.outputs, trans, {expr_str(c) for c in start},
+              name=f"ia({s.name})")
+
+
+def test_induce_ia_matches_public_steps_transition_by_transition():
+    # Every state, initial state and transition of induce_ia against the
+    # reference over public steps, on specs with top, bottom and compound
+    # initial configurations, awkward state names, kernels above
+    # _UP_MAX_STATES and conj-built specs.  Top targets of the first
+    # output and of inputs, bottom targets and the chaotic clause all
+    # occur.
+    from altia._kernel import _UP_MAX_STATES
+
+    rng = SplitMix64(180)
+    specs = [rand_aia(rng, n_states=6) for _ in range(60)]
+    specs += [rename_states(s, {q: AWKWARD[int(q[1:])] for q in s.states})
+              for s in rand_aia_stepping(rng, 10, n_states=len(AWKWARD))]
+    large: list = []  # 1,000 to 2,500 clauses each
+    while len(large) < 4:
+        s = rand_aia(rng, n_states=_UP_MAX_STATES + 2)
+        if len(s.states) > _UP_MAX_STATES and not s.initial.is_top and not s.initial.is_bot:
+            large.append(s)
+    specs += large
+    specs += [conj(rand_aia(rng, n_states=4), rand_aia(rng, n_states=4)) for _ in range(10)]
+    specs += [_rand_trivial_aia(rng, n) for n in (3, 6, 9)]
+    seen = dict.fromkeys(("top initial", "bottom initial", "compound", "large", "chaos",
+                          "first output to top", "input to top", "to bottom"), 0)
+    for s in specs:
+        i = induce_ia(s)
+        ref = _induce_ia_by_steps(s)
+        assert i == ref and i.name == ref.name
+        first_output = min(s.outputs)
+        for row in ref.transitions.values():
+            seen["first output to top"] += "T" in row.get(first_output, ())
+        seen["chaos"] += "T" in ref.states
+        seen["top initial"] += s.initial.is_top
+        seen["bottom initial"] += s.initial.is_bot
+        seen["compound"] += len(s.initial.clauses) > 1
+        seen["large"] += len(s.states) > _UP_MAX_STATES
+        for q in s.states:
+            for l in s.labels:
+                t = s.transitions[q][l]
+                seen["input to top"] += l in s.inputs and t.is_top
+                seen["to bottom"] += t.is_bot
+    # 7 top, 18 bottom and 30 compound initial configurations; 38 specs
+    # reach the chaotic clause, 76 rows step the first output to it
+    assert seen.pop("large") == 4 and min(seen.values()) >= 5, seen
 
 
 def test_after_distributes_over_configs():
@@ -480,8 +592,8 @@ def test_kernel_top_and_bottom_are_one_object_each():
     # The searches test top and bottom by id: every step result equal to
     # the top or bottom mask antichain is id 0 or 1, whose objects are the
     # top and bottom objects every kernel shares, and so is a top or bottom
-    # initial configuration, also one built apart.  Clause images, which
-    # induce_ia tests by identity, are those two objects too.
+    # initial configuration, also one built apart.  Clause images, which a
+    # step tests by identity, are those two objects too.
     # Specs start at top, bottom and compound configurations, have kernels
     # on both sides of _UP_MAX_STATES, and include det's seeded kernels and
     # conj-built automata.
@@ -541,30 +653,6 @@ def test_kernel_top_and_bottom_are_one_object_each():
     assert seen["top"] >= 1500 and seen["bottom"] >= 500, seen
     assert min(seen["top initial"], seen["bottom initial"], seen["compound"]) >= 15, seen
     assert seen["large"] >= 5000 and seen["seeded"] >= 2000, seen
-
-
-def test_kernel_numbers_values_within_the_packing_bound(monkeypatch):
-    # leq_aia packs a pair of ids as e1 << _ID_BITS | e2, so a kernel may
-    # number at most 2**_ID_BITS values and refuses the next one.  With the
-    # bound lowered to 8 ids, a spec of more reachable configurations stops
-    # at its ninth value, and a smaller one is searched as before.
-    from altia import _kernel
-
-    specs = rand_aia_stepping(SplitMix64(173), 20, n_states=5)
-    sizes = [len(dict(_rows(s._masks()))) for s in specs]
-    monkeypatch.setattr(_kernel, "_ID_BITS", 3)
-    refused = 0
-    for s, size in zip(specs, sizes):
-        cold = AIA(s.states, s.inputs, s.outputs, s.transitions, s.initial)
-        # a search from a cold kernel numbers top, bottom and the table's
-        # configurations, nothing else
-        if size + 2 > 8:
-            with pytest.raises(AssertionError, match="pack"):
-                dict(_rows(cold._masks()))
-            refused += 1
-        else:
-            assert len(dict(_rows(cold._masks()))) == size
-    assert refused >= 10 and refused < len(specs), sizes
 
 
 def test_threads_number_each_value_once():
@@ -804,7 +892,7 @@ def test_kernel_builds_a_label_record_on_its_first_step():
         e = k.bottom
         while e <= k.bottom:
             e = k.encode(rand_wide_config(rng, sorted(s.states)))
-        up += k.small and len(k.clauses(e)) > 2
+        up += k.small and len(k.objs[e]) > 2
         built = set()
         for j in reversed(range(len(k.labels))):
             l = k.labels[j]

@@ -246,7 +246,7 @@ def test_ia_right_side_counterexample_respects_closure():
 
 def _leq_by_configs(s1, s2):
     # leq_aia's breadth-first search written over the public Config values
-    # of AIA.step, with pairs of Configs as nodes: no kernel ids, no packing
+    # of AIA.step, with pairs of Configs as nodes: no kernel ids
     from altia import Label, RefinementResult
 
     labels = [Label(a, True) for a in sorted(s1.inputs)] + [
@@ -289,10 +289,10 @@ def _leq_by_configs(s1, s2):
 
 
 def test_leq_on_packed_pairs_agrees_with_oracles():
-    # leq_aia searches pairs of kernel ids packed into one int.  On conj-built
-    # specs, det-seeded kernels, kernels above _UP_MAX_STATES and kernels
-    # warmed beforehand by other steps and searches, so that the ids it packs
-    # are far from 0, its result equals a breadth-first search over public
+    # leq_aia searches pairs of kernel ids as tuples (once packed into one
+    # int, hence the name).  On conj-built specs, det-seeded kernels, kernels
+    # above _UP_MAX_STATES and kernels warmed beforehand by other steps and
+    # searches, so that the ids it pairs are far from 0, its result equals a breadth-first search over public
     # Configs (verdict, counterexample and pairs_explored), and its verdict
     # and counterexample length agree with bounded inclusion on the oracle:
     # the shortest observation of the left side missing on the right has the

@@ -119,21 +119,6 @@ CATALOGUE = [
         ("tests/test_determinize.py::test_det_kernel_is_seeded_exactly",),
     ),
     Mutant(
-        "kernel-packing-unchecked", "a kernel numbers values past the packing bound",
-        KERNEL,
-        "                    assert i >> _ID_BITS == 0, "
-        '"too many configurations to pack a pair of ids"\n',
-        "",
-        ("tests/test_aia.py::test_kernel_numbers_values_within_the_packing_bound",),
-    ),
-    Mutant(
-        "leq-packing-truncates", "leq_aia keeps only the low 4 bits of the right id of a pair",
-        "src/altia/refine.py",
-        "top, bottom, low = k1.top, k1.bottom, (1 << _ID_BITS) - 1",
-        "top, bottom, low = k1.top, k1.bottom, (1 << 4) - 1",
-        ("tests/test_refine.py::test_leq_on_packed_pairs_agrees_with_oracles",),
-    ),
-    Mutant(
         "kernel-up-set-gate", "a kernel of exactly _UP_MAX_STATES states keeps absorption",
         KERNEL,
         "self.small = len(states) <= _UP_MAX_STATES",
@@ -171,6 +156,13 @@ CATALOGUE = [
         ("tests/test_refine.py::test_counterexamples_validated_both_sides",),
     ),
     Mutant(
+        "leq-pair-swapped", "leq_aia pushes each successor pair with its sides swapped",
+        "src/altia/refine.py",
+        "            push((t1, t2), i, j)",
+        "            push((t2, t1), i, j)",
+        ("tests/test_refine.py::test_leq_on_packed_pairs_agrees_with_oracles",),
+    ),
+    Mutant(
         "leq-label-direction", "a counterexample names its first output as an input",
         "src/altia/refine.py",
         "Label(names[j], j < n_inputs)",
@@ -194,6 +186,14 @@ CATALOGUE = [
         "        if given:\n"
         "            trans[q] = row\n",
         ("tests/test_aia.py::test_induce_aia_is_valid_by_construction",),
+    ),
+    Mutant(
+        "induce-ia-top-past-inputs", "induce_ia drops the first output's top successor as if it "
+        "were an input's",
+        "src/altia/aia.py",
+        "if t == k.bottom or t == k.top and j < n_inputs:",
+        "if t == k.bottom or t == k.top and j <= n_inputs:",
+        ("tests/test_aia.py::test_induce_ia_matches_public_steps_transition_by_transition",),
     ),
     Mutant(
         "ia-refusal-all", "a refusal needs every reached state to refuse, not some",
