@@ -6,8 +6,11 @@ numbers the declared states once, in sorted-name order, and never grows,
 so a configuration with an undeclared state is refused with
 :class:`~altia.errors.ModelError`.  A clause is the ``int`` with one bit
 per member, a configuration the frozenset of its clause masks, a *mask
-antichain* (see :mod:`altia.lattice`).  Only this module, the lattice and
-the parser read masks.
+antichain* (see :mod:`altia.lattice`).  Only this module and the lattice
+read masks, and only this module imports a mask name: it meets mask
+antichains with :func:`_mask_meet`, defined here, and absorbs them with
+the lattice's ``_mask_antichain``.  The parser builds configurations
+with the lattice's ``meet_all`` and ``join_all``.
 
 The searches see a configuration as its *id*, a plain int: the kernel
 numbers every configuration value it meets densely, in the order it
@@ -79,11 +82,9 @@ from typing import Optional, Sequence
 
 from .errors import ModelError
 from .lattice import (
-    _TOP_MASKS,
     Config,
     _Masks,
     _mask_antichain,
-    _mask_meet,
     _Numbering,
     _clause_text,
     _write,
@@ -91,6 +92,16 @@ from .lattice import (
     quote_name,
     top,
 )
+
+
+def _mask_meet(a: _Masks, b: _Masks) -> _Masks:
+    """The meet of two mask antichains, with top ``{0}`` as its unit."""
+    if 0 in b:
+        return a
+    if 0 in a:
+        return b
+    return _mask_antichain({x | y for x in a for y in b})
+
 
 # Clause images with more clauses than this are recomputed, not memoised:
 # they are seldom met again and would hold most of the memo's memory.
@@ -158,7 +169,8 @@ class _MaskKernel:
         "configs", "masks", "initial", "names", "clause_texts", "quoted", "small", "up",
     )
     top, bottom = 0, 1  # the ids of top and bottom in every kernel
-    top_masks, bottom_masks = _TOP_MASKS, frozenset()  # the same two objects in every kernel
+    # the same two objects in every kernel: top is the one empty clause
+    top_masks, bottom_masks = frozenset((0,)), frozenset()
 
     def __init__(self, s):
         states = sorted(s.states)

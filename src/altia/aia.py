@@ -22,8 +22,8 @@ from typing import Optional
 from ._kernel import _MaskKernel
 from .errors import AlphabetError, ModelError
 from .ia import IA, FTrace, _check_label
-from .lattice import Config, _from_antichain, bot, top
-from .search import Search
+from .lattice import Config, _from_antichain, bot, embed, substitute, top
+from .search import DEFAULT_CAP, Search
 
 
 class AIA:
@@ -200,12 +200,10 @@ def rename_states(s: AIA, mapping) -> AIA:
     """Copy of ``s`` with states renamed by an injective mapping."""
     if len(set(mapping[q] for q in s.states)) != len(s.states):
         raise ModelError("state renaming must be injective")
-
-    def rename(cfg: Config) -> Config:  # injective: an antichain maps to an antichain
-        return _from_antichain(frozenset(frozenset(mapping[q] for q in c) for c in cfg.clauses))
-
+    # one distinct state per state: the lattice's renaming
+    f = {q: embed(mapping[q]) for q in s.states}
     trans = {
-        mapping[q]: {l: rename(cfg) for l, cfg in row.items()}
+        mapping[q]: {l: substitute(cfg, f) for l, cfg in row.items()}
         for q, row in s.transitions.items()
     }
     return AIA(
@@ -213,7 +211,7 @@ def rename_states(s: AIA, mapping) -> AIA:
         s.inputs,
         s.outputs,
         trans,
-        rename(s.initial),
+        substitute(s.initial, f),
         name=s.name,
     )
 
@@ -294,12 +292,13 @@ def induce_ia(s: AIA) -> IA:
     fully underspecified input is expressed by removing the transition
     rather than by an edge, so only reachable clauses are materialized.
     The clauses are searched in the mask kernel as one-clause
-    configurations, each stepped to its image.
+    configurations, each stepped to its image; visiting more than
+    ``DEFAULT_CAP`` clauses raises :class:`~altia.errors.ExplorationLimitError`.
     """
     k = s._masks()
     n_inputs = len(s.inputs)
     initial = k.clauses(k.initial)
-    search = Search(initial)
+    search = Search(initial, DEFAULT_CAP)
     trans: dict[str, dict[str, set[str]]] = {}
     for _, c in search:
         row: dict[str, set[str]] = {}

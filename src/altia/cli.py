@@ -275,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("-o", "--output")
 
-    # Only the commands whose searches are bounded take a cap.
+    # These commands search configurations under a cap they take as an
+    # option; to-ia searches under DEFAULT_CAP, which no option changes.
+    # Every other search is bounded by the sizes of its input files.
     for name in ("det", "refine", "tester", "testgen"):
         sub.choices[name].add_argument("--cap", type=int, default=DEFAULT_CAP,
                                        help="exploration limit (default %(default)s)")

@@ -19,7 +19,9 @@ Configuration expressions follow ``expr := 'T' | 'F' | state | expr '|'
 expr | expr '&' expr | '(' expr ')'`` where ``&`` binds tighter than
 ``|``; ``T`` is top and ``F`` bottom, and a quoted ``"T"`` or ``"F"`` is
 a state.  Parentheses nest to any depth: the parser reads an expression
-in one pass, without recursion.  In an ``aia`` file an omitted
+in one pass, without recursion, and builds its value with the lattice's
+``embed``, ``meet_all`` and ``join_all``; it reads no masks, which only
+the lattice and the kernel do.  In an ``aia`` file an omitted
 input line means top and an omitted output line bottom, so explicitly
 writing those is equivalent to leaving them out; an input may not map to
 ``F``.  In an ``ia`` file an omitted line means no transition.
@@ -45,15 +47,15 @@ from .errors import ParseError
 from .ia import IA, FTrace, Label
 from .lattice import (
     PLAIN_NAME as _PLAIN,
-    _TOP_MASKS,
     Config,
-    _Masks,
-    _mask_antichain,
-    _mask_meet,
-    _Numbering,
+    bot,
+    embed,
     expr_str,
+    join_all,
+    meet_all,
     quote_name as _quote,
     sorted_clauses,
+    top,
 )
 
 
@@ -124,20 +126,17 @@ def _tokenize_line(line: str, lineno: int) -> list[_Tok]:
 def _parse_config(toks: list[_Tok], lineno: int) -> Config:
     """The configuration of an expression's tokens, read in one pass.
 
-    The state names are numbered once (a quoted ``"T"`` is a name, the
-    bare words ``T`` and ``F`` are not), and every value is a mask
-    antichain.  Each open parenthesis keeps the disjuncts collected so far
-    and the running conjunction: ``&`` meets an operand into the
-    conjunction, ``|`` moves the conjunction to the disjuncts, and ``)``
-    closes the level into one antichain, an operand of the level around
-    it.  The result is decoded once.
+    Each open parenthesis keeps the disjuncts closed so far and the
+    conjuncts since the last ``|``: an operand (a state, or the bare word
+    ``T`` or ``F``; a quoted ``"T"`` is a state) goes onto the conjuncts,
+    ``|`` closes them into a disjunct with :func:`meet_all`, and ``)``
+    closes the level with :func:`join_all` into an operand of the level
+    around it, as does the end of the expression.  Both return a lone
+    operand as it is, so a one-state target costs one :func:`embed`.
     """
-    numbering = _Numbering({t.text for t in toks if t.kind == "quoted"
-                            or t.kind == "word" and t.text not in ("T", "F")})
-    bit = numbering.bit
-    levels: list[tuple[set[int], _Masks]] = []  # the enclosing (disjuncts, conjunction)
-    disjuncts: set[int] = set()
-    conj = _TOP_MASKS
+    levels: list[tuple[list[Config], list[Config]]] = []  # the enclosing (disjuncts, conjuncts)
+    disjuncts: list[Config] = []
+    conjuncts: list[Config] = []
     k, n = 0, len(toks)
     while True:
         if k == n:
@@ -145,29 +144,31 @@ def _parse_config(toks: list[_Tok], lineno: int) -> Config:
         t = toks[k]
         k += 1
         if t.kind == "punct" and t.text == "(":
-            levels.append((disjuncts, conj))
-            disjuncts, conj = set(), _TOP_MASKS
+            levels.append((disjuncts, conjuncts))
+            disjuncts, conjuncts = [], []
             continue
         if t.kind == "quoted" or t.kind == "word" and t.text not in ("T", "F"):
-            conj = _mask_meet(conj, frozenset((bit[t.text],)))
+            conjuncts.append(embed(t.text))
         elif t.kind != "word":
             raise ParseError(f"unexpected {t.text!r} in expression", t.line, t.col)
-        elif t.text == "F":  # a meet with T leaves the conjunction as it is
-            conj = frozenset()
+        else:
+            conjuncts.append(top() if t.text == "T" else bot())
         while k < n and levels and toks[k].kind == "punct" and toks[k].text == ")":
             k += 1
-            operand = _mask_antichain(disjuncts.union(conj)) if disjuncts else conj
-            disjuncts, conj = levels.pop()
-            conj = _mask_meet(conj, operand)
+            disjuncts.append(meet_all(conjuncts))
+            operand = join_all(disjuncts)
+            disjuncts, conjuncts = levels.pop()
+            conjuncts.append(operand)
         if k == n:
             if levels:
                 raise ParseError("unexpected end of expression", lineno)
-            return numbering.decode(_mask_antichain(disjuncts.union(conj)) if disjuncts else conj)
+            disjuncts.append(meet_all(conjuncts))
+            return join_all(disjuncts)
         t = toks[k]
         k += 1
         if t.kind == "punct" and t.text == "|":
-            disjuncts |= conj
-            conj = _TOP_MASKS
+            disjuncts.append(meet_all(conjuncts))
+            conjuncts = []
         elif t.kind != "punct" or t.text != "&":
             if levels:
                 raise ParseError("expected ')'", t.line, t.col)

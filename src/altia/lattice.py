@@ -20,18 +20,18 @@ as name frozensets directly.  Absorption runs on *mask antichains*
 alone: a numbering of state names (``_Numbering``) turns a clause into
 the ``int`` with one bit per member, so ``k & m == k`` tests
 containment, and a configuration into the frozenset of its clause
-masks.  Absorption (``_mask_antichain``) and meet (``_mask_meet``) are
-defined once, on masks.  The public operations absorb through one
-helper, ``_absorb``, which encodes clauses, absorbs their masks and
-gives back the kept clause objects, and call it only where the
-operands' state sets show that absorption can happen: the constructor
-always, a join among the clauses that touch a state of two or more
-operands, and a meet at an operand that shares a state with the ones
-before it.  A substitution is, by definition, a join of meets, unless
-it is a renaming.  The parser and each automaton's kernel fold the
-mask functions over one numbering of their own and decode the result,
-a clause mask to names by its set bits; a kernel of few states joins
-on up-sets (see :mod:`altia._kernel`).
+masks.  Absorption (``_mask_antichain``) is defined once, on masks.
+The public operations absorb through one helper, ``_absorb``, which
+encodes clauses, absorbs their masks and gives back the kept clause
+objects, and call it only where the operands' state sets show that
+absorption can happen: the constructor always, a join among the clauses
+that touch a state of two or more operands, and a meet at an operand
+that shares a state with the ones before it.  A substitution is, by
+definition, a join of meets, unless it is a renaming.  Only this module
+and each automaton's kernel read masks: the kernel meets and absorbs
+them over one numbering of its own and decodes the result, a clause
+mask to names by its set bits (see :mod:`altia._kernel`), and the
+parser builds its values with :func:`meet_all` and :func:`join_all`.
 
 There is no global table of instances: an automaton's boundary memo
 gives its own equal successors one object.  All values are immutable
@@ -60,7 +60,6 @@ class Kind(Enum):
 
 
 _Masks = frozenset[int]  # a mask antichain: clause masks, none containing another
-_TOP_MASKS: _Masks = frozenset((0,))
 
 
 def _mask_antichain(masks: Collection[int]) -> _Masks:
@@ -88,15 +87,6 @@ def _mask_antichain(masks: Collection[int]) -> _Masks:
         else:
             kept.append(m)
     return frozenset(kept)
-
-
-def _mask_meet(a: _Masks, b: _Masks) -> _Masks:
-    """The meet of two mask antichains, with top ``{0}`` as its unit."""
-    if 0 in b:
-        return a
-    if 0 in a:
-        return b
-    return _mask_antichain({x | y for x in a for y in b})
 
 
 # bin(m)[:1:-1] is a clause mask's bits, lowest first; this table turns

@@ -598,8 +598,8 @@ def test_kernel_top_and_bottom_are_one_object_each():
     # on both sides of _UP_MAX_STATES, and include det's seeded kernels and
     # conj-built automata.
     from altia import det
-    from altia._kernel import _UP_MAX_STATES
-    from altia.lattice import _TOP_MASKS, Config
+    from altia._kernel import _UP_MAX_STATES, _MaskKernel
+    from altia.lattice import Config
     from altia.search import Search
 
     rng = SplitMix64(171)
@@ -622,8 +622,9 @@ def test_kernel_top_and_bottom_are_one_object_each():
     for a in specs:
         k = a._masks()
         assert (k.top, k.bottom) == (0, 1)
-        assert k.objs[0] is _TOP_MASKS and k.objs[1] is k.bottom_masks == frozenset()
-        assert k.top_masks is _TOP_MASKS
+        assert k.objs[0] is k.top_masks == frozenset((0,))
+        assert k.objs[1] is k.bottom_masks == frozenset()
+        assert k.top_masks is _MaskKernel.top_masks
         assert (k.initial == 0) == a.initial.is_top
         assert (k.initial == 1) == a.initial.is_bot
         assert k.encode(Config([()])) == 0 and k.encode(Config([])) == 1
@@ -637,7 +638,7 @@ def test_kernel_top_and_bottom_are_one_object_each():
                 break
             for j, l in enumerate(k.labels):
                 t = k.step(m, j)
-                assert (t == 0) == (k.objs[t] == _TOP_MASKS)
+                assert (t == 0) == (k.objs[t] == _MaskKernel.top_masks)
                 assert (t == 1) == (k.objs[t] == frozenset())
                 seen["top"] += t == 0
                 seen["bottom"] += t == 1
@@ -646,7 +647,7 @@ def test_kernel_top_and_bottom_are_one_object_each():
                 search.push(t)
                 for c in k.objs[m]:
                     img = k.image(c, l)
-                    assert (img is k.top_masks) == (img == _TOP_MASKS)
+                    assert (img is k.top_masks) == (img == _MaskKernel.top_masks)
                     assert (img is k.bottom_masks) == (img == frozenset())
     # 1,982 tops, 727 bottoms, 31 and 31 trivial and 18 compound initial
     # configurations, 7,252 steps of large kernels, 2,640 of seeded ones
@@ -915,8 +916,8 @@ def test_up_set_joins_agree_with_absorption():
     # union of the images, as every kernel did before.  On specs of each
     # size from one state to one past the bound, every step of the first
     # reachable configurations and of wide draws equals that absorption.
-    from altia._kernel import _UP_MAX_STATES
-    from altia.lattice import _TOP_MASKS, _mask_antichain
+    from altia._kernel import _UP_MAX_STATES, _MaskKernel
+    from altia.lattice import _mask_antichain
     from altia.search import Search
 
     rng = SplitMix64(151)
@@ -953,7 +954,7 @@ def test_up_set_joins_agree_with_absorption():
                         up["top targets"] += any(t.is_top for t in targets)
                         up["bottom targets"] += any(t.is_bot for t in targets)
                         up["bottom images"] += frozenset() in images
-                        up["top"] += expected == _TOP_MASKS
+                        up["top"] += expected == _MaskKernel.top_masks
     assert min(up.values()) >= 20, up  # 7,836 up-set steps, 1,081 to top
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import altia
 from altia.aia import after_trace
 from altia.cli import main
@@ -309,6 +311,26 @@ def test_degenerate_models_end_cleanly(capsys, tmp_path):
 def test_cap_exit_code(capsys, models_dir):
     code, _, err = run_cli(capsys, "det", models_dir / "machine.aia", "--cap", 1)
     assert code == 3 and "cap" in err
+
+
+def test_to_ia_searches_under_the_default_cap(capsys, models_dir, monkeypatch):
+    # to-ia takes no --cap, but induce_ia searches under DEFAULT_CAP as
+    # every other configuration search does: machine.aia induces 6 clause
+    # states, so a cap of 6 lets it through and a cap of 5 stops it.
+    import altia.aia
+    from altia import ExplorationLimitError, induce_ia
+
+    m = load_model(models_dir / "machine.aia")
+    monkeypatch.setattr(altia.aia, "DEFAULT_CAP", 6)
+    assert len(induce_ia(m).states) == 6
+    code, out, _ = run_cli(capsys, "to-ia", models_dir / "machine.aia")
+    assert code == 0 and out.startswith("ia ")
+    monkeypatch.setattr(altia.aia, "DEFAULT_CAP", 5)
+    with pytest.raises(ExplorationLimitError) as exc:
+        induce_ia(m)
+    assert exc.value.cap == 5
+    code, out, err = run_cli(capsys, "to-ia", models_dir / "machine.aia")
+    assert (code, out, err) == (3, "", "error: exploration exceeded the cap of 5 elements\n")
 
 
 def test_cap_only_on_bounded_commands(capsys):

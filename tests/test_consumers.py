@@ -109,15 +109,16 @@ KERNEL_INTERFACE = {"top", "bottom", "labels", "index", "initial", "step", "row"
 
 def test_only_the_kernel_reads_masks():
     # One module owns the mask representation of configurations.  Only the
-    # kernel, the lattice that defines the mask functions and the parser
-    # that folds them use the mask names, and no module but the kernel and
-    # the lattice (whose _Numbering has names of its own) uses a name of
-    # the kernel outside its interface: every search hands the kernel's
-    # ids back to it, reads rows only through its methods and tests top
-    # and bottom by id.
+    # kernel uses the mask names of another module (the lattice defines
+    # absorption and the numbering, the kernel the mask meet; the parser
+    # builds values with meet_all and join_all), and no module but the
+    # kernel and the lattice (whose _Numbering has names of its own) uses
+    # a name of the kernel outside its interface: every search hands the
+    # kernel's ids back to it, reads rows only through its methods and
+    # tests top and bottom by id.
     from altia._kernel import _MaskKernel
 
-    mask_names = {"_TOP_MASKS", "_Masks", "_mask_meet", "_mask_antichain", "_Numbering"}
+    mask_names = {"_Masks", "_mask_meet", "_mask_antichain", "_Numbering"}
     kernel_names = set(_MaskKernel.__slots__) | {n for n in vars(_MaskKernel)
                                                  if not n.startswith("__")}
     assert KERNEL_INTERFACE < kernel_names
@@ -136,6 +137,6 @@ def test_only_the_kernel_reads_masks():
                 continue
             if used:
                 users.setdefault(path.stem, set()).update(used)
-    # the lattice defines the names; the kernel and the parser import them
-    assert {"_kernel", "io"} <= set(users) <= {"_kernel", "lattice", "io"}, users
+    # the lattice and the kernel define the names; only the kernel imports them
+    assert set(users) == {"_kernel"}, users
     assert not readers, readers

@@ -337,6 +337,45 @@ def test_parse_expr_agrees_with_truth_tables():
     assert (deep, constant_inside) == (277, 294)  # of the 400 draws
 
 
+def test_parse_expr_agrees_on_wide_products_and_overlapping_chains():
+    # The parser meets the disjunctions of an and-of-ors with meet_all,
+    # which does not absorb a product of factors over disjoint states and
+    # absorbs at every factor that shares a state with those before it.
+    # Both shapes are checked on seeded valuations, each state true with
+    # probability 3/4 so that every width sees both answers; the product
+    # has 2**k clauses, and a chain's clauses are exactly its minimal
+    # hitting sets, found by brute force.
+    from itertools import combinations
+
+    rng = SplitMix64(2026)
+    answers = set()
+
+    def check(factors, text):
+        clauses = parse_expr(text).clauses
+        assert not any(c < d for c in clauses for d in clauses), text  # an antichain
+        names = sorted({q for f in factors for q in f})
+        for _ in range(60):
+            value = {q: rng.below(4) != 0 for q in names}
+            truth = all(any(value[q] for q in f) for f in factors)
+            assert truth == any(all(value[q] for q in c) for c in clauses), (text, value)
+            answers.add((len(factors), truth))
+        return clauses
+
+    for k in range(1, 13):
+        factors = [(f"a{i}", f"b{i}") for i in range(k)]
+        ops = [" & ", "&"][rng.below(2)], [" | ", "|"][rng.below(2)]
+        clauses = check(factors, ops[0].join(f"({ops[1].join(f)})" for f in factors))
+        assert len(clauses) == 2 ** k
+    for length in range(2, 13):
+        factors = [(f"x{i}", f"x{i + 1}") for i in range(length)]
+        clauses = check(factors, " & ".join(f"({f[0]} | {f[1]})" for f in factors))
+        names = [f"x{i}" for i in range(length + 1)]
+        hitting = [frozenset(c) for r in range(len(names) + 1) for c in combinations(names, r)
+                   if all(set(f) & set(c) for f in factors)]
+        assert clauses == {h for h in hitting if not any(g < h for g in hitting)}
+    assert all((n, truth) in answers for n in (2, 12) for truth in (False, True)), answers
+
+
 def test_malformed_expressions_are_parse_errors():
     # Deleting or inserting one token breaks either the alternation of
     # operands and binary operators or the balance of parentheses.

@@ -196,6 +196,13 @@ CATALOGUE = [
         ("tests/test_aia.py::test_induce_ia_matches_public_steps_transition_by_transition",),
     ),
     Mutant(
+        "induce-ia-uncapped", "induce_ia searches with no cap",
+        "src/altia/aia.py",
+        "    search = Search(initial, DEFAULT_CAP)\n",
+        "    search = Search(initial)\n",
+        ("tests/test_cli.py::test_to_ia_searches_under_the_default_cap",),
+    ),
+    Mutant(
         "ia-refusal-all", "a refusal needs every reached state to refuse, not some",
         "src/altia/ia.py",
         "    return any(not s.succ(q, ft.failure) for q in reached)",
@@ -260,6 +267,35 @@ CATALOGUE = [
         "        elif e.clauses != _TOP_CLAUSES:",
         "        elif e.clauses and e.clauses != _TOP_CLAUSES:",
         ("tests/test_lattice.py::test_minimize_matches_brute_force_antichain",),
+    ),
+    # -- the expression parser's levels
+    Mutant(
+        "parse-bar-drops-conjuncts", "'|' drops the conjuncts before it instead of closing them",
+        "src/altia/io.py",
+        "            disjuncts.append(meet_all(conjuncts))\n            conjuncts = []\n",
+        "            conjuncts = []\n",
+        ("tests/test_io.py::test_parse_expr_agrees_on_wide_products_and_overlapping_chains",),
+    ),
+    Mutant(
+        "parse-paren-drops-disjuncts", "')' closes a level with its last disjunct only",
+        "src/altia/io.py",
+        "            disjuncts.append(meet_all(conjuncts))\n            operand = join_all(disjuncts)\n",
+        "            operand = meet_all(conjuncts)\n",
+        ("tests/test_io.py::test_parse_expr_agrees_on_wide_products_and_overlapping_chains",),
+    ),
+    Mutant(
+        "parse-end-drops-disjuncts", "the end of an expression keeps its last disjunct only",
+        "src/altia/io.py",
+        "            disjuncts.append(meet_all(conjuncts))\n            return join_all(disjuncts)\n",
+        "            return meet_all(conjuncts)\n",
+        ("tests/test_io.py::test_parse_expr_agrees_with_truth_tables",),
+    ),
+    Mutant(
+        "parse-paren-keeps-inner-level", "')' leaves the parenthesis' own lists open",
+        "src/altia/io.py",
+        "            disjuncts, conjuncts = levels.pop()\n",
+        "            levels.pop()\n",
+        ("tests/test_io.py::test_parse_expr_agrees_with_truth_tables",),
     ),
     # -- the tokenizer and lazy imports
     Mutant(
