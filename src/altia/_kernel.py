@@ -36,7 +36,9 @@ The memos:
 
 - ``records``, one per label, built by the first clause image under
   that label in one pass over the states, not when the kernel is built,
-  which every cold automaton pays for: ``(dead, free, targets, images)``.
+  which every cold automaton pays for (a small kernel's first packed
+  row, below, builds the records of every label at once):
+  ``(dead, free, targets, images)``.
   ``dead`` is the mask of the states whose target is bottom and ``free``
   of those whose target is top; ``targets`` holds each state's target by
   state bit, bottom and top as ``bottom_masks`` and ``top_masks``
@@ -51,11 +53,15 @@ The memos:
   antichain of its value, which the miss path steps;
 - ``rows``, id -> successor ids by label index, one list per id made
   when the id is numbered, each slot filled by the first step that
-  misses it; the rows of top and bottom, which step to themselves, are
-  filled when the kernel is built.  ``det`` seeds its automaton's rows
+  misses it, or all of them at once for a packed row (below); the rows
+  of top and bottom, which step to themselves, are filled when the
+  kernel is built.  ``det`` seeds its automaton's rows
   (:meth:`_MaskKernel.seed`), so their filled slots count no steps;
-- the up-set memos of :class:`_UpSets`, in a kernel of at most
-  ``_UP_MAX_STATES`` states;
+- in a kernel of at most ``_UP_MAX_STATES`` states, the memos of the
+  packed rows of :class:`_UpSets`, which fill the whole row of a
+  configuration of three or more clauses on its first step: per state,
+  its target up-sets under every label in one int; per clause, its
+  image under every label in one int; and up-set -> successor id;
 - the name memo by id, built from per-state quoted names and per-clause
   texts, sorted by bit indices, which sort like the member names since
   bits follow sorted-name order; ``det`` and ``build_tester`` share its
@@ -115,20 +121,23 @@ def _mask_meet(a: _Masks, b: _Masks) -> _Masks:
 # 85 / 87 / 91 MB.
 _IMAGE_MEMO_MAX_CLAUSES = 8
 
-# Kernels of at most this many states join three or more clause images
-# on up-sets (see _UpSets).  An up-set has 2**n bits and the up-set memos
-# keep one per clause image and per successor, so their memory grows as
-# 2**n times the configurations met, up to DEFAULT_CAP of them: at 12
-# states 512 bytes each, about 50 MB for a capped search.  det of 8
-# rand_aia specs of exactly n states drawn from SplitMix64(5) (cap 4000),
-# absorption -> up-sets, time and peak RSS on a 2-core Xeon host:
-#   n =  8:  3,007 states, 0.19 -> 0.14 s,  20 ->  20 MB
-#   n = 10:  8,127 states, 0.71 -> 0.30 s,  31 ->  32 MB
-#   n = 12: 11,244 states, 1.38 -> 0.57 s,  43 ->  53 MB
-#   n = 13:  8,750 states, 2.78 -> 1.30 s,  60 ->  96 MB (2 specs capped)
-#   n = 14:  7,337 states, 4.64 -> 2.88 s,  87 -> 220 MB (5 capped)
-#   n = 16:  2,920 states, 8.04 -> 12.7 s, 127 -> 986 MB (6 capped)
-# Above 12 states the memory grows faster than the time falls.
+# Kernels of at most this many states fill the rows of configurations of
+# three or more clauses on packed up-sets (see _UpSets).  An up-set has
+# 2**n bits and the packed memos keep one per label for each clause image
+# met, and one per successor, so their memory grows as 2**n times the
+# configurations met, up to DEFAULT_CAP of them: at 12 states 512 bytes
+# each, about 50 MB for a capped search.  det of 8 rand_aia specs (2
+# inputs, 2 outputs) of exactly n states drawn from SplitMix64(5), cap
+# 4000, absorption -> packed up-sets, time (two runs) and peak RSS on a
+# 2-core Xeon host:
+#   n =  8:  3,007 states, 0.08-0.11 -> 0.05-0.06 s, 19 ->  19 MB
+#   n = 10:  8,127 states, 0.41-0.43 -> 0.16-0.18 s, 27 ->  29 MB
+#   n = 12: 11,244 states, 0.85-0.88 -> 0.39 s,      37 ->  49 MB
+#   n = 13:  8,750 states, 1.89-2.47 -> 0.78-0.79 s, 53 ->  95 MB (2 specs capped)
+#   n = 14:  7,337 states, 3.11-3.56 -> 2.04-2.36 s, 76 -> 218 MB (5 capped)
+# On the earlier per-label up-sets, n = 16 (2,920 states, 6 capped) took
+# 8.04 -> 12.7 s at 127 -> 986 MB.  At 14 states and above the memory
+# grows faster than the time falls; no workload runs a kernel of 13.
 _UP_MAX_STATES = 12
 
 _UP_HAS: dict[int, tuple[tuple[int, int], ...]] = {}  # n -> ((NotHas_i, 2**i), ...)
@@ -153,15 +162,19 @@ class _MaskKernel:
     """One automaton's states as bits, its configurations as ids, and the
     memos of its steps and names; see the module docstring.
 
-    A kernel of at most ``_UP_MAX_STATES`` states joins three or more
-    clause images on up-sets (:class:`_UpSets`) instead of absorbing the
-    union of the images; larger kernels, whose up-sets would have 2**n
-    bits, and one- and two-clause joins keep absorption.  With every
-    multi-clause join on up-sets, the benchmark's ``conjoin`` op_p50_ms,
-    whose median operation steps cold 5-state views' two-clause
-    configurations, read 0.099 ms against 0.064 ms with this gate
-    (medians of 3 alternating pairs, 2-core Xeon host).  Either path's
-    successor is numbered by ``intern``.
+    A kernel of at most ``_UP_MAX_STATES`` states fills the whole row of
+    a configuration of three or more clauses at once, on packed up-sets
+    (:class:`_UpSets`), instead of absorbing the union of its clause
+    images label by label; larger kernels, whose up-sets would have 2**n
+    bits, and configurations of one or two clauses keep absorption, one
+    slot per step.  With every multi-clause join on up-sets, the
+    benchmark's ``conjoin`` op_p50_ms, whose median operation steps cold
+    5-state views' two-clause configurations, read 0.099 ms against
+    0.064 ms with this gate (medians of 3 alternating pairs, 2-core Xeon
+    host); with every small kernel's row packed, whatever its clause
+    count, it read 0.28-0.30 ms against 0.055-0.057 ms (3 alternating
+    pairs of 12 s runs, same host).  Either path's successors are
+    numbered by ``intern``.
     """
 
     __slots__ = (
@@ -194,8 +207,8 @@ class _MaskKernel:
         # clause mask -> (its bit indices, its text)
         self.clause_texts: dict[int, tuple[tuple[int, ...], str]] = {}
         self.quoted: Optional[tuple[str, ...]] = None  # the states' quoted names, in bit order
-        # the numbering never grows: whether wide joins go on up-sets is
-        # fixed per kernel, and their memos are built on the first one
+        # the numbering never grows: whether wide rows are packed is fixed
+        # per kernel, and their memos are built on the first one
         self.small = len(states) <= _UP_MAX_STATES
         self.up: Optional[_UpSets] = None
 
@@ -328,31 +341,31 @@ class _MaskKernel:
         ``j``, computed on the first call and then read from the row: the
         join of its clauses' images under that label's record (see
         :meth:`image`), which is top as soon as one image is top; a
-        one-clause configuration's image as it is, and three or more
-        clauses of a small kernel joined on up-sets."""
+        one-clause configuration's image as it is.  Three or more clauses
+        of a small kernel fill the whole row at once (:meth:`_UpSets.fill`)."""
         t = self.rows[e][j]
         if t is not None:
             return t
-        m, label = self.objs[e], self.labels[j]
+        m = self.objs[e]
         if len(m) > 2 and self.small:
             up = self.up
             if up is None:
                 up = self.up = _UpSets(self)
-            succ = up.join(self, m, label)
+            return up.fill(self, e)[j]
+        label = self.labels[j]
+        images = (self.records.get(label) or self._record(label))[3]
+        top_masks, joined = self.top_masks, set()
+        for c in m:
+            img = images.get(c)  # image()'s own lookup, without the call
+            if img is None:
+                img = self.image(c, label)
+            if img is top_masks:  # top absorbs the remaining clauses
+                succ = img
+                break
+            joined |= img
         else:
-            images = (self.records.get(label) or self._record(label))[3]
-            top_masks, joined = self.top_masks, set()
-            for c in m:
-                img = images.get(c)  # image()'s own lookup, without the call
-                if img is None:
-                    img = self.image(c, label)
-                if img is top_masks:  # top absorbs the remaining clauses
-                    succ = img
-                    break
-                joined |= img
-            else:
-                # one clause's image is an antichain already
-                succ = img if len(m) == 1 else _mask_antichain(joined)
+            # one clause's image is an antichain already
+            succ = img if len(m) == 1 else _mask_antichain(joined)
         t = self.ids.get(succ)  # intern()'s own lookup, without the call
         if t is None:
             t = self.intern(succ)
@@ -363,64 +376,91 @@ class _MaskKernel:
         """Fill the rows from ``table``, the reachable table of another
         kernel with the same labels, whose id ``m`` is this kernel's state
         ``states[m]``: each row becomes the row of that state's one-state
-        configuration.  Top and bottom have the same ids in both kernels."""
+        configuration.  Top and bottom have the same ids in both kernels.
+        The states are numbered under one hold of the lock, and each row
+        is written once."""
         to = {self.top: self.top, self.bottom: self.bottom}
-        bit, intern = self.numbering.bit, self.intern
-        for m, q in states.items():
-            to[m] = intern(frozenset((bit[q],)))
-        rows = self.rows
-        for m, row in table.items():
-            rows[to[m]] = [to[t] for t in row]
+        bit, ids, objs, rows = self.numbering.bit, self.ids, self.objs, self.rows
+        with self.lock:
+            for m, q in states.items():
+                c = frozenset((bit[q],))
+                i = ids.get(c)
+                if i is None:
+                    i = ids[c] = len(objs)
+                    objs.append(c)
+                    rows.append(None)  # every state has a row in table
+                to[m] = i
+            for m, row in table.items():
+                rows[to[m]] = [to[t] for t in row]
 
 
 class _UpSets:
-    """A small kernel's configurations as up-sets, for joins of three or
-    more clause images; see :class:`_MaskKernel`.
+    """A small kernel's configurations as up-sets, for rows of three or
+    more clauses, filled a whole row at a time; see :class:`_MaskKernel`.
 
     Over n states a subset is an index below 2**n, and a mask antichain
     is the 2**n-bit ``int`` of the subsets that contain one of its
     clauses: its monotone Boolean function as a truth table.  Meet is
-    then ``&`` and join ``|``.  A clause's image is the ``&`` of its
-    members' target up-sets, a successor the ``|`` of its clauses'
-    images, and each up-set met is decoded once to the mask antichain of
-    its minimal subsets.
+    then ``&`` and join ``|``.  A *packed* int holds one up-set per label
+    side by side, the label of index ``j`` at bits ``j * 2**n``, so one
+    ``&`` or ``|`` of two packed ints meets or joins under every label at
+    once.  Each state keeps its targets under every label packed, read
+    from the kernel's records on its first use; a clause's packed image
+    is the ``&`` of its members', memoised per clause, and a row the
+    ``|`` of its clauses' images, cut into one up-set per label.  Each
+    up-set maps to its successor id, decoded to the mask antichain of
+    its minimal subsets and numbered by ``intern`` on its first meeting.
     """
 
-    __slots__ = ("full", "tables", "targets", "images", "antichains")
+    __slots__ = ("width", "full", "tables", "targets", "states", "images", "ids")
 
     def __init__(self, k: _MaskKernel):
         n = len(k.numbering.names)
-        self.full = (1 << (1 << n)) - 1  # top: every subset
+        self.width = 1 << n  # the bits of one up-set
+        self.full = (1 << self.width) - 1  # top: every subset
         self.tables = _up_tables(n)
-        self.targets: dict[str, list[Optional[int]]] = {l: [None] * n for l in k.labels}
-        self.images: dict[str, dict[int, int]] = {l: {} for l in k.labels}
-        self.antichains: dict[int, _Masks] = {}
+        # per label index, every state's target mask antichain by bit
+        self.targets = [(k.records.get(l) or k._record(l))[2] for l in k.labels]
+        self.states: list[Optional[int]] = [None] * n  # state bit -> its packed targets
+        self.images: dict[int, int] = {}  # clause mask -> its packed image
+        # up-set -> successor id; top and bottom are known
+        self.ids: dict[int, int] = {self.full: k.top, 0: k.bottom}
 
-    def join(self, k: _MaskKernel, e: _Masks, label: str) -> _Masks:
-        """The successor of ``e`` under ``label``, one object per up-set."""
-        images = self.images[label]
-        u = 0
-        for c in e:
+    def fill(self, k: _MaskKernel, e: int) -> list[Optional[int]]:
+        """Fill every slot of id ``e``'s row and return the row."""
+        images, u = self.images, 0
+        for c in k.objs[e]:
             img = images.get(c)
             if img is None:
-                img = images[c] = self._image(k, c, label)
+                img = images[c] = self._image(k, c)
             u |= img
-        succ = self.antichains.get(u)
-        if succ is None:
-            succ = self.antichains[u] = self._antichain(u)
-        return succ
-
-    def _image(self, k: _MaskKernel, c: int, label: str) -> int:
-        targets, img = self.targets[label], self.full
-        masks = (k.records.get(label) or k._record(label))[2]
-        for i in k.numbering.indices(c):
-            t = targets[i]
+        row, ids, full, width = k.rows[e], self.ids, self.full, self.width
+        for j in range(len(row)):
+            chunk = u & full
+            t = ids.get(chunk)
             if t is None:
-                t = targets[i] = self._up_set(masks[i])
-            img &= t
-            if not img:  # bottom absorbs the remaining members
+                t = ids[chunk] = k.intern(self._antichain(chunk))
+            row[j] = t
+            u >>= width
+        return row
+
+    def _image(self, k: _MaskKernel, c: int) -> int:
+        states, img = self.states, -1  # every bit set: top under every label
+        for i in k.numbering.indices(c):
+            p = states[i]
+            if p is None:
+                p = states[i] = self._pack(i)
+            img &= p
+            if not img:  # bottom under every label absorbs the remaining members
                 break
         return img
+
+    def _pack(self, i: int) -> int:
+        """State ``i``'s target up-sets under every label, packed."""
+        p, width = 0, self.width
+        for targets in reversed(self.targets):
+            p = p << width | self._up_set(targets[i])
+        return p
 
     def _up_set(self, m: _Masks) -> int:
         """The up-set of the mask antichain ``m``: per clause, the subsets

@@ -878,36 +878,48 @@ def test_trivial_targets_step_like_substitution():
 
 
 def test_kernel_builds_a_label_record_on_its_first_step():
-    # A cold kernel holds no per-label record.  The first step under a
-    # label builds that label's record alone, on up-sets as on absorption:
-    # the states whose target is bottom (dead) and top (free), and every
-    # state's target by bit, bottom and top as the kernel's own objects.
+    # A cold kernel holds no per-label record.  On absorption (one or two
+    # clauses, or a kernel above _UP_MAX_STATES states) the first step
+    # under a label builds that label's record alone.  A row of three or
+    # more clauses in a small kernel is filled whole by its first step,
+    # which builds the record of every label, since it packs each
+    # member's targets under all of them.  A record holds the states whose
+    # target is bottom (dead) and top (free), and every state's target by
+    # bit, bottom and top as the kernel's own objects.
     from altia._kernel import _UP_MAX_STATES
 
     rng = SplitMix64(178)
-    up = 0
+    seen = {"whole rows": 0, "absorbed": 0}
     for n in (3, 6, _UP_MAX_STATES, _UP_MAX_STATES + 4) * 3:
         s = _rand_trivial_aia(rng, n)
-        k = s._masks()
-        assert not k.records and k.up is None
-        e = k.bottom
-        while e <= k.bottom:
-            e = k.encode(rand_wide_config(rng, sorted(s.states)))
-        up += k.small and len(k.objs[e]) > 2
-        built = set()
-        for j in reversed(range(len(k.labels))):
-            l = k.labels[j]
-            k.step(e, j)
-            built.add(l)
-            assert set(k.records) == built
-            dead, free, targets, _ = k.records[l]
-            for i, q in enumerate(k.numbering.names):
-                t = s.transitions[q][l]
-                assert (dead >> i & 1, free >> i & 1) == (t.is_bot, t.is_top)
-                if t.is_bot or t.is_top:
-                    assert targets[i] is (k.bottom_masks if t.is_bot else k.top_masks)
-                assert k.numbering.decode(targets[i]) == t
-    assert up >= 3, up
+        states = sorted(s.states)
+        narrow = embed(states[rng.below(n)]) | embed(states[rng.below(n)])
+        for e in (rand_wide_config(rng, states), narrow):
+            k = AIA(s.states, s.inputs, s.outputs, s.transitions, s.initial)._masks()
+            assert not k.records and k.up is None
+            e = k.encode(e)
+            if e <= k.bottom:
+                continue
+            whole = k.small and len(k.objs[e]) > 2
+            seen["whole rows" if whole else "absorbed"] += 1
+            built = set()
+            for j in reversed(range(len(k.labels))):
+                l = k.labels[j]
+                k.step(e, j)
+                built.add(l)
+                if whole:
+                    assert set(k.records) == set(k.labels) and None not in k.row(e)
+                    assert k.up is not None
+                else:
+                    assert set(k.records) == built and k.up is None
+                for label, (dead, free, targets, _) in k.records.items():
+                    for i, q in enumerate(k.numbering.names):
+                        t = s.transitions[q][label]
+                        assert (dead >> i & 1, free >> i & 1) == (t.is_bot, t.is_top)
+                        if t.is_bot or t.is_top:
+                            assert targets[i] is (k.bottom_masks if t.is_bot else k.top_masks)
+                        assert k.numbering.decode(targets[i]) == t
+    assert min(seen.values()) >= 3, seen
 
 
 def test_up_set_joins_agree_with_absorption():
@@ -956,6 +968,56 @@ def test_up_set_joins_agree_with_absorption():
                         up["bottom images"] += frozenset() in images
                         up["top"] += expected == _MaskKernel.top_masks
     assert min(up.values()) >= 20, up  # 7,836 up-set steps, 1,081 to top
+
+
+def test_packed_rows_agree_with_absorption():
+    # A row of three or more clauses in a kernel of at most _UP_MAX_STATES
+    # states is filled whole from packed up-sets, one chunk of 2**n bits
+    # per label.  Each row must equal per-label absorption of its clauses'
+    # images, on alphabets of one label, of inputs only, of outputs only
+    # and of six to eight labels, in kernels of every size from one state
+    # to the bound.  Every row is first touched by a step under its last
+    # label, then read whole with full_row.  A kernel of one or two states
+    # has no configuration of three clauses: its rows absorb.
+    from altia._kernel import _UP_MAX_STATES
+    from altia.lattice import _mask_antichain
+    from altia.search import Search
+
+    alphabets = [((), ("x",)), (("a",), ()), (("a", "b", "c"), ()), ((), ("x", "y", "z")),
+                 (("a", "b", "c"), ("x", "y", "z")),
+                 (("a", "b", "c", "d"), ("w", "x", "y", "z")),
+                 (("a", "b"), ("v", "w", "x", "y", "z"))]
+    rng = SplitMix64(260)
+    packed = dict.fromkeys(range(3, _UP_MAX_STATES + 1), 0)
+    by_alphabet = [0] * len(alphabets)
+    for n in range(1, _UP_MAX_STATES + 1):
+        states = [f"q{i}" for i in range(n)]
+        for a, (inputs, outputs) in enumerate(alphabets):
+            trans = {q: {**{l: rand_config(rng, states, allow_bot=False) for l in inputs},
+                         **{l: rand_config(rng, states) for l in outputs}} for q in states}
+            starts = [rand_wide_config(rng, states) for _ in range(6)]
+            k = AIA(states, inputs, outputs, trans, starts[0])._masks()
+            assert k.small
+            last = len(k.labels) - 1
+            search = Search([k.encode(c) for c in starts])
+            for i, e in search:
+                if i == 60:
+                    break
+                if e <= k.bottom:
+                    continue
+                k.step(e, last)
+                row = k.full_row(e)
+                m = k.objs[e]
+                for j, l in enumerate(k.labels):
+                    images = [k.image(c, l) for c in m]
+                    assert k.objs[row[j]] == _mask_antichain(set().union(*images))
+                    search.push(row[j])
+                if len(m) > 2:
+                    packed[n] += 1
+                    by_alphabet[a] += 1
+    # 9 packed rows at 3 states, 66-289 above; 97-373 per alphabet, 1,950 in all
+    assert min(packed.values()) >= 5 and min(by_alphabet) >= 50, (packed, by_alphabet)
+    assert sum(packed.values()) >= 1500, packed
 
 
 def _brute_antichain(masks):

@@ -100,22 +100,22 @@ CATALOGUE = [
     Mutant(
         "kernel-step-ignores-row", "a step computes its successor again though the slot is filled",
         KERNEL,
-        "        if t is not None:\n            return t\n        m, label",
-        "        m, label",
+        "        if t is not None:\n            return t\n        m = self.objs[e]",
+        "        m = self.objs[e]",
         ("tests/test_determinize.py::test_det_kernel_is_seeded_exactly",),
     ),
     Mutant(
         "kernel-seed-skipped", "det's automaton arrives with no seeded rows",
         KERNEL,
-        "            rows[to[m]] = [to[t] for t in row]",
-        "            pass",
+        "                rows[to[m]] = [to[t] for t in row]",
+        "                pass",
         ("tests/test_determinize.py::test_det_kernel_is_seeded_exactly",),
     ),
     Mutant(
         "kernel-seed-unmapped", "seeded rows keep the ids of the determinized spec's kernel",
         KERNEL,
-        "            rows[to[m]] = [to[t] for t in row]",
-        "            rows[to[m]] = list(row)",
+        "                rows[to[m]] = [to[t] for t in row]",
+        "                rows[to[m]] = list(row)",
         ("tests/test_determinize.py::test_det_kernel_is_seeded_exactly",),
     ),
     Mutant(
@@ -124,6 +124,30 @@ CATALOGUE = [
         "self.small = len(states) <= _UP_MAX_STATES",
         "self.small = len(states) < _UP_MAX_STATES",
         ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",),
+    ),
+    Mutant(
+        "kernel-packed-chunk-offset", "a packed row is cut into chunks one bit too far apart",
+        KERNEL,
+        "            u >>= width\n",
+        "            u >>= width + 1\n",
+        ("tests/test_aia.py::test_packed_rows_agree_with_absorption",),
+    ),
+    Mutant(
+        "kernel-packed-top-as-bottom", "a state's top target is packed as bottom",
+        KERNEL,
+        "p = p << width | self._up_set(targets[i])",
+        "p = p << width | (0 if targets[i] == frozenset((0,)) else self._up_set(targets[i]))",
+        ("tests/test_aia.py::test_packed_rows_agree_with_absorption",
+         "tests/test_aia.py::test_up_set_joins_agree_with_absorption"),
+    ),
+    Mutant(
+        "kernel-packed-id-wrong-chunk", "an up-set's successor id is memoised under the next "
+        "label's up-set",
+        KERNEL,
+        "                t = ids[chunk] = k.intern(self._antichain(chunk))",
+        "                t = ids[u >> width & full] = k.intern(self._antichain(chunk))",
+        ("tests/test_aia.py::test_packed_rows_agree_with_absorption",
+         "tests/test_aia.py::test_reachable_rows_hold_the_table_keys"),
     ),
     Mutant(
         "kernel-dead-image-top", "a clause with a member whose target is bottom steps to top",
