@@ -7,10 +7,11 @@ so a configuration with an undeclared state is refused with
 :class:`~altia.errors.ModelError`.  A clause is the ``int`` with one bit
 per member, a configuration the frozenset of its clause masks, a *mask
 antichain* (see :mod:`altia.lattice`).  Only this module and the lattice
-read masks, and only this module imports a mask name: it meets mask
-antichains with :func:`_mask_meet`, defined here, and absorbs them with
-the lattice's ``_mask_antichain``.  The parser builds configurations
-with the lattice's ``meet_all`` and ``join_all``.
+read masks, and only this module imports a mask name: a step takes the
+product of its members' targets and the union of its clauses' images,
+and absorbs each with the lattice's ``_mask_antichain``; it has no mask
+meet of its own.  The parser builds configurations with the lattice's
+``meet_all`` and ``join_all``.
 
 The searches see a configuration as its *id*, a plain int: the kernel
 numbers every configuration value it meets densely, in the order it
@@ -34,21 +35,22 @@ kernel:
 
 The memos:
 
-- ``records``, one per label, built by the first clause image under
-  that label in one pass over the states, not when the kernel is built,
-  which every cold automaton pays for (a small kernel's first packed
-  row, below, builds the records of every label at once):
-  ``(dead, free, targets, images)``.
+- ``records``, one per label by label index, like the slots of a row,
+  ``None`` until the first step under that label builds it in one pass
+  over the states, not when the kernel is built, which every cold
+  automaton pays for (a small kernel's first packed row, below, builds
+  the records of every label at once): ``(dead, free, targets, images)``.
   ``dead`` is the mask of the states whose target is bottom and ``free``
   of those whose target is top; ``targets`` holds each state's target by
   state bit, bottom and top as ``bottom_masks`` and ``top_masks``
   themselves; ``images`` memoises each clause's image (the meet of its
-  members' targets) of at most ``_IMAGE_MEMO_MAX_CLAUSES`` clauses.  A
-  clause that meets ``dead`` has the image ``bottom_masks`` and one within
-  ``free`` the image ``top_masks``, each found with one ``&`` and not
-  memoised; any other clause meets the targets of its members outside
-  ``free`` only.  After ``?b`` a conjunction of views has hundreds of
-  clauses, nearly all of them with a member whose target is bottom;
+  members' targets), computed on :meth:`_MaskKernel.step`'s miss path,
+  of at most ``_IMAGE_MEMO_MAX_CLAUSES`` clauses.  A clause that meets
+  ``dead`` has the image ``bottom_masks`` and one within ``free`` the
+  image ``top_masks``, each found with one ``&`` and not memoised; any
+  other clause meets the targets of its members outside ``free`` only.
+  After ``?b`` a conjunction of views has hundreds of clauses, nearly
+  all of them with a member whose target is bottom;
 - ``ids``, mask antichain -> id, and ``objs``, id -> the first mask
   antichain of its value, which the miss path steps;
 - ``rows``, id -> successor ids by label index, one list per id made
@@ -98,15 +100,6 @@ from .lattice import (
     quote_name,
     top,
 )
-
-
-def _mask_meet(a: _Masks, b: _Masks) -> _Masks:
-    """The meet of two mask antichains, with top ``{0}`` as its unit."""
-    if 0 in b:
-        return a
-    if 0 in a:
-        return b
-    return _mask_antichain({x | y for x in a for y in b})
 
 
 # Clause images with more clauses than this are recomputed, not memoised:
@@ -191,8 +184,8 @@ class _MaskKernel:
         self.trans = [s.transitions[q] for q in states]  # by bit
         self.labels = (*sorted(s.inputs), *sorted(s.outputs))  # by label index
         self.index = {l: j for j, l in enumerate(self.labels)}
-        # label -> (dead, free, targets, images), see _record()
-        self.records: dict[str, tuple[int, int, list[_Masks], dict[int, _Masks]]] = {}
+        # label index -> (dead, free, targets, images), see _record()
+        self.records: list[Optional[tuple]] = [None] * len(self.labels)
         # top and bottom are ids 0 and 1; intern numbers the others
         self.ids: dict[_Masks, int] = {self.top_masks: 0, self.bottom_masks: 1}
         self.objs: list[_Masks] = [self.top_masks, self.bottom_masks]
@@ -278,12 +271,12 @@ class _MaskKernel:
         entry = self.clause_texts[c] = (bits, _clause_text([quoted[i] for i in bits]))
         return entry
 
-    def _record(self, label: str) -> tuple:
-        """The record ``(dead, free, targets, images)`` of ``label`` (see
-        the module docstring), with every target encoded here once and an
-        empty image memo; built by the first image under ``label``, whose
-        caller looks it up first."""
-        dead = free = 0
+    def _record(self, j: int) -> tuple:
+        """The record ``(dead, free, targets, images)`` of the label of
+        index ``j`` (see the module docstring), with every target encoded
+        here once and an empty image memo; built by the first step under
+        that label, whose caller looks it up first."""
+        label, dead, free = self.labels[j], 0, 0
         targets: list[_Masks] = []
         for i, row in enumerate(self.trans):
             t = row[label]
@@ -295,30 +288,8 @@ class _MaskKernel:
                 targets.append(self.top_masks)
             else:
                 targets.append(self.numbering.encode(t.clauses))
-        record = self.records[label] = (dead, free, targets, {})
+        record = self.records[j] = (dead, free, targets, {})
         return record
-
-    def image(self, c: int, label: str) -> _Masks:
-        """The meet of the targets of clause ``c``'s members under ``label``,
-        in one of three ways: ``bottom_masks`` itself if a member's target is
-        bottom (``c & dead``), ``top_masks`` itself if every member's target
-        is top (``c & ~free == 0``), and otherwise the meet of the targets of
-        the members outside ``free``, memoised if of at most
-        ``_IMAGE_MEMO_MAX_CLAUSES`` clauses; see :meth:`_record`."""
-        dead, free, targets, images = self.records.get(label) or self._record(label)
-        img = images.get(c)
-        if img is None:
-            if c & dead:
-                return self.bottom_masks
-            rest = c & ~free
-            if not rest:
-                return self.top_masks
-            img = self.top_masks
-            for i in self.numbering.indices(rest):
-                img = _mask_meet(img, targets[i])
-            if len(img) <= _IMAGE_MEMO_MAX_CLAUSES:
-                images[c] = img
-        return img
 
     def row(self, e: int) -> Sequence[Optional[int]]:
         """The row of id ``e``: its successor ids by label index, ``None``
@@ -340,9 +311,15 @@ class _MaskKernel:
         """The id of the successor of id ``e`` under the label of index
         ``j``, computed on the first call and then read from the row: the
         join of its clauses' images under that label's record (see
-        :meth:`image`), which is top as soon as one image is top; a
-        one-clause configuration's image as it is.  Three or more clauses
-        of a small kernel fill the whole row at once (:meth:`_UpSets.fill`)."""
+        :meth:`_record`), which is top as soon as one image is top; a
+        one-clause configuration's image as it is.  A clause's image is
+        ``bottom_masks`` itself if a member's target is bottom
+        (``c & dead``), ``top_masks`` itself if every member's target is top
+        (``c & ~free == 0``), and otherwise the product of the targets of
+        the members outside ``free``, absorbed pair by pair and memoised if
+        of at most ``_IMAGE_MEMO_MAX_CLAUSES`` clauses.  Three or more
+        clauses of a small kernel fill the whole row at once
+        (:meth:`_UpSets.fill`)."""
         t = self.rows[e][j]
         if t is not None:
             return t
@@ -352,13 +329,24 @@ class _MaskKernel:
             if up is None:
                 up = self.up = _UpSets(self)
             return up.fill(self, e)[j]
-        label = self.labels[j]
-        images = (self.records.get(label) or self._record(label))[3]
+        dead, free, targets, images = self.records[j] or self._record(j)
         top_masks, joined = self.top_masks, set()
         for c in m:
-            img = images.get(c)  # image()'s own lookup, without the call
+            img = images.get(c)
             if img is None:
-                img = self.image(c, label)
+                if c & dead:
+                    img = self.bottom_masks
+                elif not c & ~free:
+                    img = top_masks
+                else:
+                    # no target outside free is top or bottom: the product
+                    # of the members' targets needs no unit and is never empty
+                    first, *others = self.numbering.indices(c & ~free)
+                    img = targets[first]
+                    for i in others:
+                        img = _mask_antichain({x | y for x in img for y in targets[i]})
+                    if len(img) <= _IMAGE_MEMO_MAX_CLAUSES:
+                        images[c] = img
             if img is top_masks:  # top absorbs the remaining clauses
                 succ = img
                 break
@@ -404,15 +392,16 @@ class _UpSets:
     then ``&`` and join ``|``.  A *packed* int holds one up-set per label
     side by side, the label of index ``j`` at bits ``j * 2**n``, so one
     ``&`` or ``|`` of two packed ints meets or joins under every label at
-    once.  Each state keeps its targets under every label packed, read
-    from the kernel's records on its first use; a clause's packed image
+    once.  Every state's targets under every label are packed when the
+    up-sets are built, from the kernel's records, which are built then
+    by label index if a step has not built them; a clause's packed image
     is the ``&`` of its members', memoised per clause, and a row the
     ``|`` of its clauses' images, cut into one up-set per label.  Each
     up-set maps to its successor id, decoded to the mask antichain of
     its minimal subsets and numbered by ``intern`` on its first meeting.
     """
 
-    __slots__ = ("width", "full", "tables", "targets", "states", "images", "ids")
+    __slots__ = ("width", "full", "tables", "states", "images", "ids")
 
     def __init__(self, k: _MaskKernel):
         n = len(k.numbering.names)
@@ -420,8 +409,10 @@ class _UpSets:
         self.full = (1 << self.width) - 1  # top: every subset
         self.tables = _up_tables(n)
         # per label index, every state's target mask antichain by bit
-        self.targets = [(k.records.get(l) or k._record(l))[2] for l in k.labels]
-        self.states: list[Optional[int]] = [None] * n  # state bit -> its packed targets
+        targets = [(k.records[j] or k._record(j))[2] for j in range(len(k.labels))]
+        # state bit -> its target up-sets under every label, label j at bits j * width
+        self.states = [sum(self._up_set(t[i]) << j * self.width for j, t in enumerate(targets))
+                       for i in range(n)]
         self.images: dict[int, int] = {}  # clause mask -> its packed image
         # up-set -> successor id; top and bottom are known
         self.ids: dict[int, int] = {self.full: k.top, 0: k.bottom}
@@ -447,20 +438,8 @@ class _UpSets:
     def _image(self, k: _MaskKernel, c: int) -> int:
         states, img = self.states, -1  # every bit set: top under every label
         for i in k.numbering.indices(c):
-            p = states[i]
-            if p is None:
-                p = states[i] = self._pack(i)
-            img &= p
-            if not img:  # bottom under every label absorbs the remaining members
-                break
+            img &= states[i]
         return img
-
-    def _pack(self, i: int) -> int:
-        """State ``i``'s target up-sets under every label, packed."""
-        p, width = 0, self.width
-        for targets in reversed(self.targets):
-            p = p << width | self._up_set(targets[i])
-        return p
 
     def _up_set(self, m: _Masks) -> int:
         """The up-set of the mask antichain ``m``: per clause, the subsets

@@ -28,10 +28,11 @@ absorption can happen: the constructor always, a join among the clauses
 that touch a state of two or more operands, and a meet at an operand
 that shares a state with the ones before it.  A substitution is, by
 definition, a join of meets, unless it is a renaming.  Only this module
-and each automaton's kernel read masks: the kernel meets and absorbs
-them over one numbering of its own and decodes the result, a clause
-mask to names by its set bits (see :mod:`altia._kernel`), and the
-parser builds its values with :func:`meet_all` and :func:`join_all`.
+and each automaton's kernel read masks: the kernel takes the products
+and unions of its steps over one numbering of its own, absorbs them with
+``_mask_antichain`` and decodes the result, a clause mask to names by
+its set bits (see :mod:`altia._kernel`), and the parser builds its
+values with :func:`meet_all` and :func:`join_all`.
 
 There is no global table of instances: an automaton's boundary memo
 gives its own equal successors one object.  All values are immutable

@@ -119,10 +119,10 @@ def tester_problems(t: Tester) -> list[str]:
         if any(s.succ(v, x) for x in s.outputs):
             problems.append(f"verdict state {v!r} offers stimuli")
     stim = t.stimuli
-    for r in s.outputs:
+    for r in sorted(s.outputs):
         if is_refusal(r) and refusal_base(r) not in stim:
             problems.append(f"refusal label {r!r} has no matching stimulus")
-    for a in stim:
+    for a in sorted(stim):
         if refusal(a) not in s.outputs:
             problems.append(f"stimulus {a!r} has no refusal label declared")
     if not _ia.deterministic(s):

@@ -592,8 +592,8 @@ def test_kernel_top_and_bottom_are_one_object_each():
     # The searches test top and bottom by id: every step result equal to
     # the top or bottom mask antichain is id 0 or 1, whose objects are the
     # top and bottom objects every kernel shares, and so is a top or bottom
-    # initial configuration, also one built apart.  Clause images, which a
-    # step tests by identity, are those two objects too.
+    # initial configuration, also one built apart.  So is the step of each
+    # clause as a one-clause configuration (k.clauses): its image.
     # Specs start at top, bottom and compound configurations, have kernels
     # on both sides of _UP_MAX_STATES, and include det's seeded kernels and
     # conj-built automata.
@@ -645,10 +645,10 @@ def test_kernel_top_and_bottom_are_one_object_each():
                 seen["large"] += not k.small
                 seen["seeded"] += seeded
                 search.push(t)
-                for c in k.objs[m]:
-                    img = k.image(c, l)
-                    assert (img is k.top_masks) == (img == _MaskKernel.top_masks)
-                    assert (img is k.bottom_masks) == (img == frozenset())
+                for c in k.clauses(m):
+                    img = k.step(c, j)
+                    assert (img == 0) == (k.objs[img] == _MaskKernel.top_masks)
+                    assert (img == 1) == (k.objs[img] == frozenset())
     # 1,982 tops, 727 bottoms, 31 and 31 trivial and 18 compound initial
     # configurations, 7,252 steps of large kernels, 2,640 of seeded ones
     assert seen["top"] >= 1500 and seen["bottom"] >= 500, seen
@@ -815,8 +815,8 @@ def test_trivial_targets_step_like_substitution():
     # the first top image.  On specs whose targets are mostly trivial, with
     # kernels on both sides of _UP_MAX_STATES and conj-built ones, every
     # step of the first reachable configurations equals the substitution,
-    # and image returns the kernel's own top and bottom objects for such
-    # clauses.
+    # and such a clause steps to top or bottom as a one-clause
+    # configuration, the kind of id k.clauses gives.
     from altia._kernel import _UP_MAX_STATES
     from altia.search import Search
 
@@ -855,17 +855,16 @@ def test_trivial_targets_step_like_substitution():
                 if t > k.bottom:
                     search.push(t)
         bits = [(1 << i, q) for i, q in enumerate(k.numbering.names)]
-        for l in sorted(s.labels):
+        for j, l in enumerate(k.labels):
             free = [b for b, q in bits if s.transitions[q][l].is_top]
             dead = [b for b, q in bits if s.transitions[q][l].is_bot]
             live = [b for b, q in bits if not s.transitions[q][l].is_bot]
             for n in range(1, len(free) + 1):  # every free state, then all of them
-                c = sum(free[:n])
-                assert k.image(c, l) is k.top_masks
+                assert k.step(k.intern(frozenset((sum(free[:n]),))), j) == k.top
                 seen["all free"] += 1
             for d in dead:  # a dead state with live ones around it
                 for c in (d, d | sum(live[:2]), d | sum(live)):
-                    assert k.image(c, l) is k.bottom_masks
+                    assert k.step(k.intern(frozenset((c,))), j) == k.bottom
                     seen["dead member"] += 1
     assert 2 * seen["free inputs"] >= seen["inputs"], seen
     assert 2 * seen["dead outputs"] >= seen["outputs"], seen
@@ -878,7 +877,8 @@ def test_trivial_targets_step_like_substitution():
 
 
 def test_kernel_builds_a_label_record_on_its_first_step():
-    # A cold kernel holds no per-label record.  On absorption (one or two
+    # A cold kernel holds no per-label record: its records, kept by label
+    # index like the slots of a row, are all None.  On absorption (one or two
     # clauses, or a kernel above _UP_MAX_STATES states) the first step
     # under a label builds that label's record alone.  A row of three or
     # more clauses in a small kernel is filled whole by its first step,
@@ -896,7 +896,7 @@ def test_kernel_builds_a_label_record_on_its_first_step():
         narrow = embed(states[rng.below(n)]) | embed(states[rng.below(n)])
         for e in (rand_wide_config(rng, states), narrow):
             k = AIA(s.states, s.inputs, s.outputs, s.transitions, s.initial)._masks()
-            assert not k.records and k.up is None
+            assert not any(k.records) and k.up is None
             e = k.encode(e)
             if e <= k.bottom:
                 continue
@@ -904,15 +904,17 @@ def test_kernel_builds_a_label_record_on_its_first_step():
             seen["whole rows" if whole else "absorbed"] += 1
             built = set()
             for j in reversed(range(len(k.labels))):
-                l = k.labels[j]
                 k.step(e, j)
-                built.add(l)
+                built.add(j)
                 if whole:
-                    assert set(k.records) == set(k.labels) and None not in k.row(e)
+                    assert all(k.records) and None not in k.row(e)
                     assert k.up is not None
                 else:
-                    assert set(k.records) == built and k.up is None
-                for label, (dead, free, targets, _) in k.records.items():
+                    assert {i for i, r in enumerate(k.records) if r} == built and k.up is None
+                for label, record in zip(k.labels, k.records):
+                    if record is None:
+                        continue
+                    dead, free, targets, _ = record
                     for i, q in enumerate(k.numbering.names):
                         t = s.transitions[q][label]
                         assert (dead >> i & 1, free >> i & 1) == (t.is_bot, t.is_top)
@@ -922,18 +924,25 @@ def test_kernel_builds_a_label_record_on_its_first_step():
     assert min(seen.values()) >= 3, seen
 
 
+def _substituted(s, k, e, l):
+    """The id of id ``e``'s successor under ``l`` by substitution, the
+    paper's step, computed without the kernel's images."""
+    return k.encode(substitute(k.decode(e), {q: s.transitions[q][l] for q in s.states}))
+
+
 def test_up_set_joins_agree_with_absorption():
-    # Kernels of at most _UP_MAX_STATES states join three or more clause
-    # images on up-sets; larger kernels and narrower joins absorb the
-    # union of the images, as every kernel did before.  On specs of each
-    # size from one state to one past the bound, every step of the first
-    # reachable configurations and of wide draws equals that absorption.
-    from altia._kernel import _UP_MAX_STATES, _MaskKernel
-    from altia.lattice import _mask_antichain
+    # Kernels of at most _UP_MAX_STATES states fill the row of a
+    # configuration of three or more clauses whole, from packed up-sets;
+    # larger kernels and narrower configurations absorb the union of
+    # their clause images, one slot per step.  On specs of each size from
+    # one state to one past the bound, every step of the first reachable
+    # configurations and of wide draws, label by label, equals the
+    # substitution.
+    from altia._kernel import _UP_MAX_STATES
     from altia.search import Search
 
     rng = SplitMix64(151)
-    up = {"steps": 0, "top targets": 0, "bottom targets": 0, "bottom images": 0, "top": 0}
+    up = {"steps": 0, "top targets": 0, "bottom targets": 0, "top": 0}
     for n in range(1, _UP_MAX_STATES + 2):
         drawn = 0
         while drawn < 3:
@@ -957,30 +966,27 @@ def test_up_set_joins_agree_with_absorption():
             for e in configs:
                 m = k.objs[e]
                 for j, l in enumerate(k.labels):
-                    images = [k.image(c, l) for c in m]
-                    expected = _mask_antichain(set().union(*images))
-                    assert k.objs[k.step(e, j)] == expected
+                    expected = _substituted(s, k, e, l)
+                    assert k.step(e, j) == expected
                     if len(m) >= 3 and k.small:
                         targets = [s.transitions[q][l] for c in m for q in k.numbering.clause(c)]
                         up["steps"] += 1
                         up["top targets"] += any(t.is_top for t in targets)
+                        # a bottom target makes its clause's image bottom
                         up["bottom targets"] += any(t.is_bot for t in targets)
-                        up["bottom images"] += frozenset() in images
-                        up["top"] += expected == _MaskKernel.top_masks
+                        up["top"] += expected == k.top
     assert min(up.values()) >= 20, up  # 7,836 up-set steps, 1,081 to top
 
 
 def test_packed_rows_agree_with_absorption():
-    # A row of three or more clauses in a kernel of at most _UP_MAX_STATES
-    # states is filled whole from packed up-sets, one chunk of 2**n bits
-    # per label.  Each row must equal per-label absorption of its clauses'
-    # images, on alphabets of one label, of inputs only, of outputs only
-    # and of six to eight labels, in kernels of every size from one state
-    # to the bound.  Every row is first touched by a step under its last
-    # label, then read whole with full_row.  A kernel of one or two states
-    # has no configuration of three clauses: its rows absorb.
+    # A small kernel packs its up-sets one chunk of 2**n bits per label.
+    # On alphabets of one label, of inputs only, of outputs only and of
+    # six to eight labels, in kernels of every size from one state to
+    # _UP_MAX_STATES, each row first touched by a step under its last
+    # label and then read whole with full_row must equal the substitution
+    # in every slot.  A kernel of one or two states has no configuration
+    # of three clauses: its rows absorb.
     from altia._kernel import _UP_MAX_STATES
-    from altia.lattice import _mask_antichain
     from altia.search import Search
 
     alphabets = [((), ("x",)), (("a",), ()), (("a", "b", "c"), ()), ((), ("x", "y", "z")),
@@ -996,7 +1002,8 @@ def test_packed_rows_agree_with_absorption():
             trans = {q: {**{l: rand_config(rng, states, allow_bot=False) for l in inputs},
                          **{l: rand_config(rng, states) for l in outputs}} for q in states}
             starts = [rand_wide_config(rng, states) for _ in range(6)]
-            k = AIA(states, inputs, outputs, trans, starts[0])._masks()
+            s = AIA(states, inputs, outputs, trans, starts[0])
+            k = s._masks()
             assert k.small
             last = len(k.labels) - 1
             search = Search([k.encode(c) for c in starts])
@@ -1007,12 +1014,10 @@ def test_packed_rows_agree_with_absorption():
                     continue
                 k.step(e, last)
                 row = k.full_row(e)
-                m = k.objs[e]
                 for j, l in enumerate(k.labels):
-                    images = [k.image(c, l) for c in m]
-                    assert k.objs[row[j]] == _mask_antichain(set().union(*images))
+                    assert row[j] == _substituted(s, k, e, l)
                     search.push(row[j])
-                if len(m) > 2:
+                if len(k.objs[e]) > 2:
                     packed[n] += 1
                     by_alphabet[a] += 1
     # 9 packed rows at 3 states, 66-289 above; 97-373 per alphabet, 1,950 in all

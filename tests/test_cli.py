@@ -389,6 +389,23 @@ def test_console_entry_point(models_dir):
     assert proc.stdout.strip() == "Forbidden"
 
 
+def test_run_reports_tester_problems_in_one_order(models_dir):
+    # A tester that breaks the contract in several ways lists its problems
+    # in sorted order, the same under every hash seed: good_machine.ia is
+    # no tester, so run refuses it with problems from sets of labels.
+    src = str(Path(altia.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    model = str(models_dir / "good_machine.ia")
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "altia", "run", model, model],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 2 and "has no refusal label declared" in proc.stderr
+        outputs.append((proc.stdout, proc.stderr))
+    assert outputs[0] == outputs[1]
+
+
 def _modules_after(argv):
     # A fresh interpreter without site hooks runs one command, then lists
     # the modules it loaded after the command's exit code.

@@ -110,8 +110,9 @@ KERNEL_INTERFACE = {"top", "bottom", "labels", "index", "initial", "step", "row"
 def test_only_the_kernel_reads_masks():
     # One module owns the mask representation of configurations.  Only the
     # kernel uses the mask names of another module (the lattice defines
-    # absorption and the numbering, the kernel the mask meet; the parser
-    # builds values with meet_all and join_all), and no module but the
+    # absorption and the numbering, and the kernel, which has no mask meet
+    # of its own, absorbs its steps' products and unions with it; the
+    # parser builds values with meet_all and join_all), and no module but the
     # kernel and the lattice (whose _Numbering has names of its own) uses
     # a name of the kernel outside its interface: every search hands the
     # kernel's ids back to it, reads rows only through its methods and

@@ -194,7 +194,7 @@ def test_det_kernel_is_seeded_exactly(models_dir):
         assert check_deterministic(d) and build_tester(d) and leq_aia(d, d)
         members = [ftrace_member(d, w) for w in universe(d.inputs, d.outputs, 2)]
         assert members == [ftrace_member(c, w) for w in universe(c.inputs, c.outputs, 2)]
-        assert not k.records and k.up is None  # no per-label record was built
+        assert not any(k.records) and k.up is None  # no per-label record was built
         for e, row in enumerate(list(k.rows)):
             for j, t in enumerate(row):
                 if t is not None:

@@ -123,22 +123,24 @@ CATALOGUE = [
         KERNEL,
         "self.small = len(states) <= _UP_MAX_STATES",
         "self.small = len(states) < _UP_MAX_STATES",
-        ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",),
+        ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_packed_rows_agree_with_absorption"),
     ),
     Mutant(
         "kernel-packed-chunk-offset", "a packed row is cut into chunks one bit too far apart",
         KERNEL,
         "            u >>= width\n",
         "            u >>= width + 1\n",
-        ("tests/test_aia.py::test_packed_rows_agree_with_absorption",),
+        ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_packed_rows_agree_with_absorption"),
     ),
     Mutant(
         "kernel-packed-top-as-bottom", "a state's top target is packed as bottom",
         KERNEL,
-        "p = p << width | self._up_set(targets[i])",
-        "p = p << width | (0 if targets[i] == frozenset((0,)) else self._up_set(targets[i]))",
-        ("tests/test_aia.py::test_packed_rows_agree_with_absorption",
-         "tests/test_aia.py::test_up_set_joins_agree_with_absorption"),
+        "self.states = [sum(self._up_set(t[i]) << j",
+        "self.states = [sum((0 if t[i] == frozenset((0,)) else self._up_set(t[i])) << j",
+        ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_packed_rows_agree_with_absorption"),
     ),
     Mutant(
         "kernel-packed-id-wrong-chunk", "an up-set's successor id is memoised under the next "
@@ -146,22 +148,42 @@ CATALOGUE = [
         KERNEL,
         "                t = ids[chunk] = k.intern(self._antichain(chunk))",
         "                t = ids[u >> width & full] = k.intern(self._antichain(chunk))",
-        ("tests/test_aia.py::test_packed_rows_agree_with_absorption",
+        ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_packed_rows_agree_with_absorption",
          "tests/test_aia.py::test_reachable_rows_hold_the_table_keys"),
     ),
     Mutant(
         "kernel-dead-image-top", "a clause with a member whose target is bottom steps to top",
         KERNEL,
-        "            if c & dead:\n                return self.bottom_masks",
-        "            if c & dead:\n                return self.top_masks",
+        "                if c & dead:\n                    img = self.bottom_masks",
+        "                if c & dead:\n                    img = self.top_masks",
         ("tests/test_aia.py::test_trivial_targets_step_like_substitution",),
     ),
     Mutant(
         "kernel-free-mask-kept", "a clause meets the targets of its members that go to top",
         KERNEL,
-        "rest = c & ~free",
-        "rest = c & free",
+        "self.numbering.indices(c & ~free)",
+        "self.numbering.indices(c & free)",
         ("tests/test_aia.py::test_trivial_targets_step_like_substitution",),
+    ),
+    Mutant(
+        "kernel-product-drops-first", "a clause's image leaves out its first member's target",
+        KERNEL,
+        "                    img = targets[first]\n",
+        "                    img = self.top_masks\n",
+        ("tests/test_aia.py::test_trivial_targets_step_like_substitution",
+         "tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_packed_rows_agree_with_absorption"),
+    ),
+    Mutant(
+        "kernel-record-wrong-label", "the record of a label index holds the previous label's "
+        "targets",
+        KERNEL,
+        "label, dead, free = self.labels[j], 0, 0",
+        "label, dead, free = self.labels[j - 1], 0, 0",
+        ("tests/test_aia.py::test_kernel_builds_a_label_record_on_its_first_step",
+         "tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_packed_rows_agree_with_absorption"),
     ),
     Mutant(
         "kernel-top-target-bottom", "a label's record holds bottom for a target that is top",
@@ -169,6 +191,7 @@ CATALOGUE = [
         "                free |= 1 << i\n                targets.append(self.top_masks)",
         "                free |= 1 << i\n                targets.append(self.bottom_masks)",
         ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_packed_rows_agree_with_absorption",
          "tests/test_aia.py::test_trivial_targets_step_like_substitution",
          "tests/test_aia.py::test_kernel_builds_a_label_record_on_its_first_step"),
     ),
