@@ -61,9 +61,11 @@ The memos:
   (:meth:`_MaskKernel.seed`), so their filled slots count no steps;
 - in a kernel of at most ``_UP_MAX_STATES`` states, the memos of the
   packed rows of :class:`_UpSets`, which fill the whole row of a
-  configuration of three or more clauses on its first step: per state,
-  its target up-sets under every label in one int; per clause, its
-  image under every label in one int; and up-set -> successor id;
+  configuration of three or more clauses on its first step, built with
+  the tables of the subsets without each state for the kernel's own
+  number of states: per state, its target up-sets under every label in
+  one int; per clause, its image under every label in one int, computed
+  by :meth:`_UpSets.fill`; and up-set -> successor id;
 - the name memo by id, built from per-state quoted names and per-clause
   texts, sorted by bit indices, which sort like the member names since
   bits follow sorted-name order; ``det`` and ``build_tester`` share its
@@ -132,23 +134,6 @@ _IMAGE_MEMO_MAX_CLAUSES = 8
 # 8.04 -> 12.7 s at 127 -> 986 MB.  At 14 states and above the memory
 # grows faster than the time falls; no workload runs a kernel of 13.
 _UP_MAX_STATES = 12
-
-_UP_HAS: dict[int, tuple[tuple[int, int], ...]] = {}  # n -> ((NotHas_i, 2**i), ...)
-
-
-def _up_tables(n: int) -> tuple[tuple[int, int], ...]:
-    """Per bit i of n states, the 2**n-bit table of the subsets without
-    state i (NotHas_i), paired with 2**i, the shift from such a subset
-    to the one with i added; computed once per n."""
-    tables = _UP_HAS.get(n)
-    if tables is None:
-        full = (1 << (1 << n)) - 1
-        # Has_i repeats 2**i zeros, then 2**i ones, from subset 0 upwards
-        tables = _UP_HAS[n] = tuple(
-            (full ^ full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)), 1 << i)
-            for i in range(n)
-        )
-    return tables
 
 
 class _MaskKernel:
@@ -354,10 +339,7 @@ class _MaskKernel:
         else:
             # one clause's image is an antichain already
             succ = img if len(m) == 1 else _mask_antichain(joined)
-        t = self.ids.get(succ)  # intern()'s own lookup, without the call
-        if t is None:
-            t = self.intern(succ)
-        self.rows[e][j] = t
+        t = self.rows[e][j] = self.intern(succ)
         return t
 
     def seed(self, table: dict, states: dict) -> None:
@@ -392,11 +374,13 @@ class _UpSets:
     then ``&`` and join ``|``.  A *packed* int holds one up-set per label
     side by side, the label of index ``j`` at bits ``j * 2**n``, so one
     ``&`` or ``|`` of two packed ints meets or joins under every label at
-    once.  Every state's targets under every label are packed when the
-    up-sets are built, from the kernel's records, which are built then
-    by label index if a step has not built them; a clause's packed image
-    is the ``&`` of its members', memoised per clause, and a row the
-    ``|`` of its clauses' images, cut into one up-set per label.  Each
+    once.  The up-sets are built with their own tables of the subsets
+    without each state, for this kernel's n, and every state's targets
+    under every label packed from the kernel's records, which are built
+    then by label index if a step has not built them.  :meth:`fill`
+    computes a clause's packed image, the ``&`` of its members', on its
+    first meeting and memoises it per clause; a row is the ``|`` of its
+    clauses' images, cut into one up-set per label.  Each
     up-set maps to its successor id, decoded to the mask antichain of
     its minimal subsets and numbered by ``intern`` on its first meeting.
     """
@@ -406,8 +390,15 @@ class _UpSets:
     def __init__(self, k: _MaskKernel):
         n = len(k.numbering.names)
         self.width = 1 << n  # the bits of one up-set
-        self.full = (1 << self.width) - 1  # top: every subset
-        self.tables = _up_tables(n)
+        full = self.full = (1 << self.width) - 1  # top: every subset
+        # per state i, the subsets without i (NotHas_i), paired with 2**i,
+        # the shift from such a subset to the one with i added, for this
+        # kernel's n: Has_i repeats 2**i zeros, then 2**i ones, from
+        # subset 0 upwards
+        self.tables = tuple(
+            (full ^ full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)), 1 << i)
+            for i in range(n)
+        )
         # per label index, every state's target mask antichain by bit
         targets = [(k.records[j] or k._record(j))[2] for j in range(len(k.labels))]
         # state bit -> its target up-sets under every label, label j at bits j * width
@@ -418,12 +409,18 @@ class _UpSets:
         self.ids: dict[int, int] = {self.full: k.top, 0: k.bottom}
 
     def fill(self, k: _MaskKernel, e: int) -> list[Optional[int]]:
-        """Fill every slot of id ``e``'s row and return the row."""
-        images, u = self.images, 0
+        """Fill every slot of id ``e``'s row and return the row: the ``|``
+        of its clauses' packed images.  A clause's packed image, the ``&``
+        of its members' packed targets, is computed here on its first
+        meeting and memoised per clause."""
+        images, states, u = self.images, self.states, 0
         for c in k.objs[e]:
             img = images.get(c)
             if img is None:
-                img = images[c] = self._image(k, c)
+                img = -1  # every bit set: top under every label
+                for i in k.numbering.indices(c):
+                    img &= states[i]
+                images[c] = img
             u |= img
         row, ids, full, width = k.rows[e], self.ids, self.full, self.width
         for j in range(len(row)):
@@ -434,12 +431,6 @@ class _UpSets:
             row[j] = t
             u >>= width
         return row
-
-    def _image(self, k: _MaskKernel, c: int) -> int:
-        states, img = self.states, -1  # every bit set: top under every label
-        for i in k.numbering.indices(c):
-            img &= states[i]
-        return img
 
     def _up_set(self, m: _Masks) -> int:
         """The up-set of the mask antichain ``m``: per clause, the subsets

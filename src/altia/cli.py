@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (holds / pass / query answered), 1 a checked
 property fails (refinement fails, test fails), 2 usage or input error,
-3 exploration cap exceeded.
+3 exploration cap exceeded or out of memory.
 
 Only the core modules load with this one; a command imports
 ``determinize``, ``refine`` or ``testing`` when it runs, and ``json``
@@ -303,6 +303,10 @@ def main(argv=None) -> int:
     except (AltiaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the exception has let go of the command's frames
+    print("error: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ import re
 from typing import Optional, Union
 
 from .aia import AIA
-from .errors import ParseError
+from .errors import AltiaError, ParseError
 from .ia import IA, FTrace, Label
 from .lattice import (
     PLAIN_NAME as _PLAIN,
@@ -345,7 +345,7 @@ def parse_model(text: str) -> Union[IA, AIA]:
         if kind == "ia":
             return IA(states, inputs, outputs, raw_trans, initial, name=name)
         return AIA(states, inputs, outputs, raw_trans, initial_cfg, name=name)
-    except Exception as exc:  # surface semantic problems with the file context
+    except AltiaError as exc:  # surface semantic problems with the file context
         raise ParseError(str(exc), lineno) from exc
 
 

@@ -313,6 +313,34 @@ def test_cap_exit_code(capsys, models_dir):
     assert code == 3 and "cap" in err
 
 
+def test_out_of_memory_exits_3_without_traceback(tmp_path):
+    # Under a 300 MB address-space limit, parsing the 2**18-clause initial
+    # configuration (a0|b0)&...&(a17|b17) runs out of memory: the command
+    # reports it on one line and exits 3, as for an exploration cap.
+    resource = pytest.importorskip("resource")
+    limit = 300 * 2**20
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(altia.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    try:
+        bare = subprocess.run([sys.executable, "-c", "pass"], preexec_fn=limited, env=env)
+    except (OSError, subprocess.SubprocessError):
+        bare = None
+    if bare is None or bare.returncode != 0:
+        pytest.skip("python does not start under a 300 MB address-space limit")
+    init = " & ".join(f"(a{i}|b{i})" for i in range(18))
+    model = tmp_path / "wide.aia"
+    model.write_text(f"aia wide\ninputs a\noutputs x\ninit {init}\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "altia", "check", str(model)],
+                          capture_output=True, text=True, preexec_fn=limited, env=env)
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
+
+
 def test_to_ia_searches_under_the_default_cap(capsys, models_dir, monkeypatch):
     # to-ia takes no --cap, but induce_ia searches under DEFAULT_CAP as
     # every other configuration search does: machine.aia induces 6 clause

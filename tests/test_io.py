@@ -137,6 +137,19 @@ def test_parse_model_error_messages(text, message):
     assert f"(line {err.value.line}" in message
 
 
+def test_parse_model_lets_program_faults_through(monkeypatch):
+    # Only altia's own errors from the constructors become input errors at
+    # the header line; any other exception there is a fault, not the file's.
+    import altia.io
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("constructor fault")
+
+    monkeypatch.setattr(altia.io, "AIA", broken)
+    with pytest.raises(RuntimeError, match="constructor fault"):
+        parse_model("aia m\ninputs a\noutputs x\ninit q\nq ?a -> q\n")
+
+
 def test_parse_errors_exit_2_without_traceback(capsys, tmp_path):
     from altia.cli import main
 

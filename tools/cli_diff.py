@@ -8,7 +8,9 @@ trees, one ``python -m altia`` process per command, then every script of
 ``demos/``, one ``python demos/<script>`` process each, and last
 ``tools/lattice_draws.py``.  Both trees read the same copy of this
 tree's ``models/``, ``demos/`` and draw script, so only the program
-differs.  The set has 669 commands: 650 for the nine models,
+differs.  The base tree runs under ``PYTHONHASHSEED=0`` and this tree
+under ``1``, so output that depends on hash order differs too.  The set
+has 670 commands: 651 for the nine models,
 ``NESTED_MODEL`` and ``AWKWARD_MODEL``, 14 for help and usage, one per
 demo script (four) and the draw script:
 
@@ -30,6 +32,9 @@ demo script (four) and the draw script:
   the first test case that ``testgen`` wrote for the tester's model.
   Where the alphabets of tester and model differ, the command is an
   input error, and its message is compared too;
+- ``run`` of ``models/good_machine.ia`` as its own tester, which breaks
+  the tester contract in several ways, so its list of problems is
+  compared;
 - on ``NESTED_MODEL``, which the tool writes into each work directory:
   ``check``, ``det``, ``dot``, ``to-ia`` and ``member`` per trace of
   ``NESTED_TRACES``;
@@ -145,6 +150,7 @@ def commands(models: list[str], demos: list[str]) -> list[list[str]]:
                 ["run", f"gen/{stem}/case_000_tester.ia", impl],
                 ["run", *LONG_RUNS, "--json", tester, impl],
             ]
+    cmds += [["run", "models/good_machine.ia", "models/good_machine.ia"]]
     cmds += [[command, "nested.aia"] for command in ("check", "det", "dot", "to-ia")]
     cmds += [["member", "nested.aia", "--trace", trace] for trace in NESTED_TRACES]
     cmds += [[command, "awkward.aia"] for command in ("det", "tester", "to-ia", "dot")]
@@ -158,9 +164,11 @@ def interpreter_args(cmd: list[str]) -> list[str]:
     return cmd if cmd and cmd[0].endswith(".py") else ["-m", "altia", *cmd]
 
 
-def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, str, str]]:
-    """Run every command with ``tree``'s altia in ``work``; the tree's own
-    path is masked in the output so that tracebacks compare alike."""
+def run_all(tree: Path, work: Path, cmds: list[list[str]],
+            hash_seed: str) -> list[tuple[int, str, str]]:
+    """Run every command with ``tree``'s altia in ``work``, under the
+    ``PYTHONHASHSEED`` ``hash_seed``; the tree's own path is masked in the
+    output so that tracebacks compare alike."""
     for d in ("models", "demos"):
         (work / d).mkdir(parents=True)
         for f in sorted((REPO / d).iterdir()):
@@ -171,7 +179,7 @@ def run_all(tree: Path, work: Path, cmds: list[list[str]]) -> list[tuple[int, st
     (work / LATTICE_DRAWS).write_bytes((REPO / "tools" / LATTICE_DRAWS).read_bytes())
     for d in ("out", "testers", "gen"):
         (work / d).mkdir()
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED=hash_seed)
     results = []
     for cmd in cmds:
         p = subprocess.run(
@@ -218,8 +226,8 @@ def main(argv: list[str]) -> int:
         base.mkdir()
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         results = {}
-        for side, tree in (("base", base), ("this", REPO)):
-            results[side] = run_all(tree, Path(tmp) / f"work_{side}", cmds)
+        for side, tree, hash_seed in (("base", base, "0"), ("this", REPO, "1")):
+            results[side] = run_all(tree, Path(tmp) / f"work_{side}", cmds, hash_seed)
         written = {side: files(Path(tmp) / f"work_{side}") for side in results}
     differences = 0
     for cmd, old, new in zip(cmds, results["base"], results["this"]):

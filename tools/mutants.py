@@ -86,15 +86,15 @@ CATALOGUE = [
     Mutant(
         "kernel-row-not-kept", "a step computes its successor and never fills the row slot",
         KERNEL,
-        "        self.rows[e][j] = t\n        return t",
-        "        return t",
+        "        t = self.rows[e][j] = self.intern(succ)\n",
+        "        t = self.intern(succ)\n",
         ("tests/test_determinize.py::test_det_kernel_is_seeded_exactly",),
     ),
     Mutant(
         "kernel-row-replaced", "a step writes its slot into a new copy of the row",
         KERNEL,
-        "        self.rows[e][j] = t\n        return t",
-        "        row = self.rows[e] = list(self.rows[e])\n        row[j] = t\n        return t",
+        "        t = self.rows[e][j] = self.intern(succ)\n",
+        "        row = self.rows[e] = list(self.rows[e])\n        t = row[j] = self.intern(succ)\n",
         ("tests/test_aia.py::test_threads_fill_the_rows_of_fresh_ids",),
     ),
     Mutant(
@@ -131,6 +131,23 @@ CATALOGUE = [
         KERNEL,
         "            u >>= width\n",
         "            u >>= width + 1\n",
+        ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_packed_rows_agree_with_absorption"),
+    ),
+    Mutant(
+        "kernel-up-table-shift", "a subset gains state i at a shift of 2**(i + 1), "
+        "not 2**i",
+        KERNEL,
+        ", 1 << i)\n",
+        ", 2 << i)\n",
+        ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",
+         "tests/test_aia.py::test_packed_rows_agree_with_absorption"),
+    ),
+    Mutant(
+        "kernel-packed-image-bottom", "a clause's fresh packed image starts from bottom, not top",
+        KERNEL,
+        "                img = -1  # every bit set: top under every label\n",
+        "                img = 0\n",
         ("tests/test_aia.py::test_up_set_joins_agree_with_absorption",
          "tests/test_aia.py::test_packed_rows_agree_with_absorption"),
     ),
