@@ -21,34 +21,31 @@ from typing import Optional
 
 from ._kernel import _MaskKernel
 from .errors import AlphabetError, ModelError
-from .ia import IA, FTrace, _check_label
+from .ia import IA, FTrace, _Automaton, _check_label
 from .lattice import Config, _from_antichain, bot, embed, substitute, top
 from .search import DEFAULT_CAP, Search
 
 
-class AIA:
+class AIA(_Automaton):
     """An alternating interface automaton.
 
-    ``transitions`` maps state -> label name -> Config; omitted entries
-    default to top for inputs and bottom for outputs, matching the
-    convention that an undrawn input is underspecified and an undrawn
-    output is forbidden.  The stored table is total.  Instances are
-    immutable and all operations on them are pure.
+    ``initial`` is a Config, and ``transitions`` maps state -> label name
+    -> Config; omitted entries default to top for inputs and bottom for
+    outputs, matching the convention that an undrawn input is
+    underspecified and an undrawn output is forbidden.  The constructor
+    checks the given table entry by entry in the caller's order, so a
+    table with several defects reports its first, and then fills the
+    defaults after each row's given entries: the stored table is total.
+    Instances are immutable and all operations on them are pure.
 
-    Each automaton steps its configurations through a private mask
-    kernel, built on first use and freed with it; a configuration with an
+    The private cache is the mask kernel that steps the automaton's
+    configurations, built on first use; a configuration with an
     undeclared state is refused with :class:`~altia.errors.ModelError`.
     See :mod:`altia._kernel` for its memos.
     """
 
     def __init__(self, states, inputs, outputs, transitions, initial, name="aia"):
-        self.name = name
-        self.states = frozenset(states)
-        self.inputs = frozenset(inputs)
-        self.outputs = frozenset(outputs)
-        overlap = self.inputs & self.outputs
-        if overlap:
-            raise AlphabetError(f"inputs and outputs overlap: {sorted(overlap)}")
+        super().__init__(states, inputs, outputs, name)
         if not isinstance(initial, Config):
             raise ModelError("initial configuration must be a Config")
         if not initial.states() <= self.states:
@@ -57,57 +54,34 @@ class AIA:
                 f"{sorted(initial.states() - self.states)}"
             )
         self.initial = initial
-
-        for q in transitions:
+        table: dict[str, dict[str, Config]] = {}
+        for q, given in transitions.items():
             if q not in self.states:
                 raise ModelError(f"transition from undeclared state {q!r}")
-        table: dict[str, dict[str, Config]] = {}
-        for q in self.states:
-            given = transitions.get(q, {})
-            for label in given:
-                if label not in self.inputs and label not in self.outputs:
+            for label, cfg in given.items():
+                if label in self.inputs:
+                    if cfg.is_bot:
+                        raise ModelError(f"input transition {q!r} --{label}--> may not be bottom")
+                elif label not in self.outputs:
                     raise AlphabetError(f"transition on undeclared label {label!r}")
-            row: dict[str, Config] = {}
-            for a in self.inputs:
-                cfg = given.get(a, top())
-                if cfg.is_bot:
-                    raise ModelError(f"input transition {q!r} --{a}--> may not be bottom")
-                row[a] = cfg
-            for x in self.outputs:
-                row[x] = given.get(x, bot())
-            for label, cfg in row.items():
                 if not cfg.states() <= self.states:
                     raise ModelError(
                         f"transition {q!r} --{label}--> uses undeclared states "
                         f"{sorted(cfg.states() - self.states)}"
                     )
-            table[q] = row
+            table[q] = dict(given)
+        for q in self.states:
+            row = table.setdefault(q, {})
+            for a in self.inputs:
+                row.setdefault(a, top())
+            for x in self.outputs:
+                row.setdefault(x, bot())
         self.transitions = table
-        self._kernel: Optional[_MaskKernel] = None
-
-    @classmethod
-    def _valid(cls, states, inputs, outputs, transitions, initial, name) -> AIA:
-        """An automaton from parts that are valid by construction, taken as
-        they are: frozenset alphabets, a total table over ``states`` and
-        configurations over them, no input to bottom."""
-        self = object.__new__(cls)
-        self.name = name
-        self.states = frozenset(states)
-        self.inputs = inputs
-        self.outputs = outputs
-        self.initial = initial
-        self.transitions = transitions
-        self._kernel = None
-        return self
-
-    @property
-    def labels(self) -> frozenset[str]:
-        return self.inputs | self.outputs
 
     def _masks(self) -> _MaskKernel:
-        kernel = self._kernel
+        kernel = self._cache
         if kernel is None:
-            kernel = self._kernel = _MaskKernel(self)
+            kernel = self._cache = _MaskKernel(self)
         return kernel
 
     def step(self, e: Config, label_name: str) -> Config:
@@ -117,22 +91,6 @@ class AIA:
             raise AlphabetError(f"{label_name!r} is not a label of {self.name!r}")
         k = self._masks()
         return k.decode(k.step(k.encode(e), k.index[label_name]))
-
-    def __eq__(self, other):
-        if not isinstance(other, AIA):
-            return NotImplemented
-        return (
-            self.states == other.states
-            and self.inputs == other.inputs
-            and self.outputs == other.outputs
-            and self.initial == other.initial
-            and self.transitions == other.transitions
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"AIA({self.name!r}, {len(self.states)} states)"
 
 
 def _walk(s: AIA, k, m: int, trace) -> int:

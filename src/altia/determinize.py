@@ -62,6 +62,8 @@ def det(s: AIA, cap: int = DEFAULT_CAP) -> AIA:
     names, target = _relabelled(k, table, embed, top(), bot())
     labels = k.labels
     trans = {names[m]: {l: target[t] for l, t in zip(labels, row)} for m, row in table.items()}
-    d = AIA._valid(trans, s.inputs, s.outputs, trans, target[k.initial], f"det({s.name})")
+    d = AIA._valid(
+        frozenset(trans), s.inputs, s.outputs, trans, target[k.initial], f"det({s.name})"
+    )
     d._masks().seed(table, names)
     return d

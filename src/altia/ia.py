@@ -54,30 +54,86 @@ class FTrace(NamedTuple):
         return " ".join(parts)
 
 
-class IA:
-    """An interface automaton.
+class _Automaton:
+    """What interface and alternating automata share.
 
-    ``transitions`` maps state -> label name -> successor states; pairs
-    without an entry have no transition, and no successor set is empty.
-    Instances are validated on construction and must be treated as
-    immutable afterwards; all operations on them are pure.
-
-    Each automaton keeps a private successor index, built from
-    ``transitions`` on first use and freed with it, so ``transitions``
-    must not be mutated: per state, its row in sorted label order with
-    sorted successor tuples (a label missing from it has no transition),
-    and each input paired with its refusal label ``~a``, in sorted order.
+    An automaton is its states, its disjoint input and output alphabets,
+    its transition table and its initial value, all taken as frozensets
+    or as tables that must not be mutated.  Equality compares these
+    parts between automata of the same kind; the ``name`` is
+    presentation metadata that equality ignores, and automata are not
+    hashable.  Each automaton keeps one private cache, built from its
+    parts on first use by the subclass that reads it and freed with the
+    automaton.
     """
 
-    def __init__(self, states, inputs, outputs, transitions, initial, name="ia"):
+    _cache = None  # set on the instance by its first use
+
+    def __init__(self, states, inputs, outputs, name):
         self.name = name
         self.states = frozenset(states)
         self.inputs = frozenset(inputs)
         self.outputs = frozenset(outputs)
-        self.initial = frozenset(initial)
         overlap = self.inputs & self.outputs
         if overlap:
             raise AlphabetError(f"inputs and outputs overlap: {sorted(overlap)}")
+
+    @classmethod
+    def _valid(cls, states, inputs, outputs, transitions, initial, name):
+        """An automaton from parts that are valid by construction, taken
+        as they are: frozensets for the states and alphabets, and the
+        table and initial value that the constructor would store.  The
+        caller makes every check of the constructor that its own input
+        can fail."""
+        self = object.__new__(cls)
+        self.name = name
+        self.states = states
+        self.inputs = inputs
+        self.outputs = outputs
+        self.transitions = transitions
+        self.initial = initial
+        return self
+
+    @property
+    def labels(self) -> frozenset[str]:
+        return self.inputs | self.outputs
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.states == other.states
+            and self.inputs == other.inputs
+            and self.outputs == other.outputs
+            and self.initial == other.initial
+            and self.transitions == other.transitions
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name!r}, {len(self.states)} states)"
+
+
+class IA(_Automaton):
+    """An interface automaton.
+
+    ``initial`` is a set of states, and ``transitions`` maps state ->
+    label name -> successor states; pairs without an entry have no
+    transition, and no successor set is empty.  Instances are validated
+    on construction and must be treated as immutable afterwards; all
+    operations on them are pure.
+
+    The private cache is the successor index, built from
+    ``transitions`` on first use: per state, its row in sorted label
+    order with sorted successor tuples (a label missing from it has no
+    transition), and each input paired with its refusal label ``~a``, in
+    sorted order.
+    """
+
+    def __init__(self, states, inputs, outputs, transitions, initial, name="ia"):
+        super().__init__(states, inputs, outputs, name)
+        self.initial = frozenset(initial)
         if not self.initial <= self.states:
             raise ModelError(f"initial states {sorted(self.initial - self.states)} not declared")
         table: dict[str, dict[str, frozenset[str]]] = {}
@@ -96,57 +152,18 @@ class IA:
                 if ss:
                     table.setdefault(q, {})[label] = ss
         self.transitions = table
-        self._index = None
-
-    @classmethod
-    def _valid(cls, states, inputs, outputs, transitions, initial, name) -> IA:
-        """An automaton from parts that are valid by construction, taken
-        as they are: frozensets for the states, alphabets, initial states
-        and successor sets, and the table the constructor would store,
-        which has no empty successor set and no empty row.  The caller
-        makes every check of the constructor that its own input can fail."""
-        self = object.__new__(cls)
-        self.name = name
-        self.states = states
-        self.inputs = inputs
-        self.outputs = outputs
-        self.initial = initial
-        self.transitions = transitions
-        self._index = None
-        return self
-
-    @property
-    def labels(self) -> frozenset[str]:
-        return self.inputs | self.outputs
 
     def _successors(self):
         """The successor index: (rows, refusals), built on first use."""
-        index = self._index
+        index = self._cache
         if index is None:
             rows = {q: {l: tuple(sorted(row[l])) for l in sorted(row)}
                     for q, row in self.transitions.items()}
-            index = self._index = rows, tuple((a, "~" + a) for a in sorted(self.inputs))
+            index = self._cache = rows, tuple((a, "~" + a) for a in sorted(self.inputs))
         return index
 
     def succ(self, q: str, label_name: str) -> frozenset[str]:
         return self.transitions.get(q, {}).get(label_name, frozenset())
-
-    def __eq__(self, other):
-        # Structural equality; the name is presentation metadata.
-        if not isinstance(other, IA):
-            return NotImplemented
-        return (
-            self.states == other.states
-            and self.inputs == other.inputs
-            and self.outputs == other.outputs
-            and self.initial == other.initial
-            and self.transitions == other.transitions
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"IA({self.name!r}, {len(self.states)} states)"
 
 
 def _check_label(s, lab: Label):

@@ -58,20 +58,20 @@ def leq_aia(s1: AIA, s2: AIA, cap: int = DEFAULT_CAP) -> RefinementResult:
     if s2.initial.is_bot:
         return RefinementResult(False, FTrace())
 
-    # Every kernel numbers top 0 and bottom 1.  Each side steps a row slot
-    # only where the search reads it.
+    # Every kernel numbers top 0 and bottom 1.  The left side's row is read
+    # whole.  The right side reads its row inline and steps only a slot the
+    # search reaches: a step call per slot there made explore's op_p50_ms
+    # about 30% longer (2-core Xeon host).
     k1, k2 = s1._masks(), s2._masks()
     names, n_inputs = k1.labels, len(s1.inputs)
     top, bottom = k1.top, k1.bottom
-    row1, row2, step1, step2 = k1.row, k2.row, k1.step, k2.step
+    row1, row2, step2 = k1.full_row, k2.row, k2.step
     search = Search([(k1.initial, k2.initial)], cap)
     push = search.push
     for i, (e1, e2) in search:
         r1, r2 = row1(e1), row2(e2)
         for j in range(len(names)):
             t1 = r1[j]
-            if t1 is None:
-                t1 = step1(e1, j)
             if t1 == bottom:
                 continue
             t2 = r2[j]

@@ -710,6 +710,44 @@ def test_threads_number_each_value_once():
         sys.setswitchinterval(old)
 
 
+def test_intern_numbers_a_value_once_when_two_threads_miss_it():
+    # Two threads intern one new value, and each lookup of it waits until
+    # the other thread has made as many lookups, or 0.2 s pass.  So both
+    # miss it outside the lock; inside, the first waits out the timeout,
+    # numbers it and releases the lock, and the second finds it.  Without
+    # the lock both would miss it again and number it twice.
+    import threading
+
+    class Meeting(dict):
+        def __init__(self, ids, value):
+            super().__init__(ids)
+            self.value, self.calls, self.met = value, {}, threading.Condition()
+
+        def get(self, m, default=None):
+            i = super().get(m, default)
+            if m == self.value:
+                with self.met:
+                    me = threading.get_ident()
+                    n = self.calls[me] = self.calls.get(me, 0) + 1
+                    self.met.notify_all()
+                    self.met.wait_for(
+                        lambda: sum(c >= n for c in self.calls.values()) == 2, timeout=0.2)
+            return i
+
+    k = AIA(["p"], (), ("x",), {}, embed("p"))._masks()
+    value = frozenset((1 << 5,))
+    k.ids = Meeting(k.ids, value)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(k.intern(value))) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 2 and got[0] == got[1] == len(k.objs) - 1
+    assert len(k.ids) == len(k.objs) == len(k.rows) and k.objs.count(value) == 1
+
+
 def test_threads_fill_the_rows_of_fresh_ids():
     # Each id's row is one list, made when the id is numbered and never
     # replaced, so a slot one thread fills is never lost to another thread
@@ -1111,6 +1149,67 @@ def test_constructor_checks():
         with pytest.raises(error) as err:
             build()
         assert str(err.value) == message
+
+
+def test_constructor_reports_the_first_defect_in_table_order():
+    # A table with several defects of one kind, each in its own row,
+    # reports the defect of its first row, the same under every hash seed:
+    # the constructor checks the table in the caller's order, not in the
+    # order of its state and label sets.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import altia
+
+    code = """
+from altia import AIA
+from altia.lattice import bot, embed
+p = embed("p")
+for table in (
+    {"p": {"zz": p}, "q": {"yy": p}, "r": {"ww": p}},
+    {"r": {"a": bot()}, "p": {"a": bot()}, "q": {"a": bot()}},
+    {"q": {"x": embed("zz")}, "r": {"a": embed("yy")}, "p": {"x": embed("ww")}},
+):
+    try:
+        AIA(("p", "q", "r"), ("a", "b", "c"), ("x", "y"), table, p)
+    except Exception as e:
+        print(type(e).__name__, e)
+"""
+    src = str(Path(altia.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "AlphabetError transition on undeclared label 'zz'\n"
+        "ModelError input transition 'r' --a--> may not be bottom\n"
+        "ModelError transition 'q' --x--> uses undeclared states ['zz']\n"
+    }
+
+
+def test_automata_share_equality_hash_and_repr():
+    # Both kinds compare by their parts, never the name, and only with
+    # their own kind: an IA never equals an AIA, even when both are empty.
+    # Neither is hashable, and each repr names its kind.
+    p = embed("p")
+    ia = IA({"p"}, {"a"}, {"x"}, {"p": {"x": {"p"}}}, {"p"}, name="one")
+    aia = AIA({"p"}, {"a"}, {"x"}, {"p": {"x": p}}, p, name="one")
+    assert repr(ia) == "IA('one', 1 states)" and repr(aia) == "AIA('one', 1 states)"
+    for s in (ia, aia):
+        with pytest.raises(TypeError):
+            hash(s)
+    assert ia == IA({"p"}, {"a"}, {"x"}, {"p": {"x": {"p"}}}, {"p"}, name="two")
+    assert aia == AIA({"p"}, {"a"}, {"x"}, {"p": {"x": p}}, p, name="two")
+    assert ia != IA({"p"}, {"a"}, {"x"}, {}, {"p"}, name="one")
+    assert aia != AIA({"p"}, {"a"}, {"x"}, {}, p, name="one")
+    for i, s in ((ia, aia), (IA((), (), (), {}, ()), AIA((), (), (), {}, bot()))):
+        assert i != s and s != i and not i == s and not s == i
+    assert ia != object() and aia != object()
 
 
 def test_rename_states_must_be_injective():

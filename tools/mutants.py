@@ -81,7 +81,7 @@ CATALOGUE = [
         KERNEL,
         "            with self.lock:\n                i = self.ids.get(m)",
         "            if True:\n                i = self.ids.get(m)",
-        ("tests/test_aia.py::test_threads_number_each_value_once",),
+        ("tests/test_aia.py::test_intern_numbers_a_value_once_when_two_threads_miss_it",),
     ),
     Mutant(
         "kernel-row-not-kept", "a step computes its successor and never fills the row slot",
@@ -232,6 +232,79 @@ CATALOGUE = [
         "Label(names[j], j < n_inputs)",
         "Label(names[j], j <= n_inputs)",
         ("tests/test_refine.py::test_counterexamples_validated_both_sides",),
+    ),
+    Mutant(
+        "leq-left-row-unfilled", "leq_aia reads the left side's row without filling it",
+        "src/altia/refine.py",
+        "    row1, row2, step2 = k1.full_row, k2.row, k2.step\n",
+        "    row1, row2, step2 = k1.row, k2.row, k2.step\n",
+        ("tests/test_refine.py::test_leq_on_packed_pairs_agrees_with_oracles",),
+    ),
+    # -- what IA and AIA share, and the AIA constructor
+    Mutant(
+        "base-eq-without-transitions", "automata with equal parts but their tables compare equal",
+        "src/altia/ia.py",
+        "            and self.initial == other.initial\n"
+        "            and self.transitions == other.transitions\n",
+        "            and self.initial == other.initial\n",
+        ("tests/test_aia.py::test_automata_share_equality_hash_and_repr",),
+    ),
+    Mutant(
+        "base-eq-with-name", "equality compares the names too",
+        "src/altia/ia.py",
+        "            self.states == other.states\n",
+        "            self.name == other.name and self.states == other.states\n",
+        ("tests/test_aia.py::test_automata_share_equality_hash_and_repr",),
+    ),
+    Mutant(
+        "base-hashable", "automata hash by identity although they compare by their parts",
+        "src/altia/ia.py",
+        "    __hash__ = None\n",
+        "    __hash__ = object.__hash__\n",
+        ("tests/test_aia.py::test_automata_share_equality_hash_and_repr",),
+    ),
+    Mutant(
+        "base-repr-wrong-kind", "every automaton's repr names it an IA",
+        "src/altia/ia.py",
+        'return f"{type(self).__name__}({self.name!r}',
+        'return f"IA({self.name!r}',
+        ("tests/test_aia.py::test_automata_share_equality_hash_and_repr",),
+    ),
+    Mutant(
+        "base-overlap-unchecked", "inputs and outputs may overlap",
+        "src/altia/ia.py",
+        "        if overlap:\n",
+        "        if False:\n",
+        ("tests/test_aia.py::test_constructor_checks",),
+    ),
+    Mutant(
+        "ia-index-on-the-class", "the first IA's successor index is stored for every IA",
+        "src/altia/ia.py",
+        "index = self._cache = rows,",
+        "index = type(self)._cache = rows,",
+        ("tests/test_testing.py::test_product_moves_match_the_oracle",),
+    ),
+    Mutant(
+        "aia-kernel-on-the-class", "the first AIA's kernel is stored for every AIA",
+        "src/altia/aia.py",
+        "kernel = self._cache = _MaskKernel(self)",
+        "kernel = type(self)._cache = _MaskKernel(self)",
+        ("tests/test_aia.py::test_step_is_substitution_semantically",),
+    ),
+    Mutant(
+        "aia-table-in-sorted-order", "the AIA constructor checks rows in sorted state order",
+        "src/altia/aia.py",
+        "        for q, given in transitions.items():\n",
+        "        for q, given in sorted(transitions.items()):\n",
+        ("tests/test_aia.py::test_constructor_reports_the_first_defect_in_table_order",),
+    ),
+    Mutant(
+        "aia-input-bottom-allowed", "the AIA constructor lets an input target bottom",
+        "src/altia/aia.py",
+        "                    if cfg.is_bot:\n",
+        "                    if False:\n",
+        ("tests/test_aia.py::test_inputs_may_not_target_bottom",
+         "tests/test_aia.py::test_constructor_reports_the_first_defect_in_table_order"),
     ),
     # -- test execution's successor index and the alternating view of an IA
     Mutant(
